@@ -301,7 +301,6 @@ Core::issueMemOp(Cycles now)
         e.readyAt = kNever;
         lastMissPos_ = tail_;
     }
-    lastLoadPos_ = tail_;
     ++tail_;
     return true;
 }
@@ -371,51 +370,67 @@ Core::runAhead(Cycles now, Cycles end, std::uint64_t commit_cap)
             if (h.l2Miss && (h.memWait || h.readyAt > c))
                 return c;
         }
-        // Steady-state ALU stretch: with symmetric widths, a window
-        // holding exactly F entries that all commit this cycle, and >= F
-        // banked ALU credits, the next n cycles each commit F entries
-        // and fetch F ALU slots — a closed-form state update. Only the
-        // F slots live at the end survive (everything in between is
-        // fetched and committed inside the batch), so the whole stretch
-        // reduces to bumping the counters and writing those F slots,
-        // exactly as a cycle-by-cycle run would leave them. ALU slots
-        // never touch the caches, the trace decode state, lastLoadPos_,
-        // or lastMissPos_, and the cap guard below keeps every executed
-        // cycle strictly under commit_cap, matching the per-cycle guard.
+        // Steady-state ALU stretch, in closed form at any occupancy.
+        // With fetch width == commit width == F, W = tail_ - head_ >= F
+        // entries in flight and banked ALU credits, a cycle that commits
+        // F entries and fetches F ALU slots leaves W unchanged, so over
+        // a run of such cycles entry head_ + k commits at cycle
+        // c + k/F. An entry fetched inside the run commits W/F >= 1
+        // cycles after its fetch, so on or after its readyAt (fetch
+        // cycle + 1): only the first min(W, nF) entries already in the
+        // window can hold the run up. The run lasts
+        //   n = min(aluCredit_/F, end - c, cap_room)
+        // cycles, cut to k/F at the first such entry k not ready by its
+        // commit cycle (an entry waiting on DRAM has readyAt == kNever).
+        // ALU slots never touch the caches, the trace decode state or
+        // lastMissPos_, so the stretch reduces to bumping the counters
+        // and writing the slots still live at its end — the last
+        // min(W, nF) fetched — exactly as a cycle-by-cycle run would
+        // leave them. Slots fetched and committed inside the run are
+        // dead: nothing reads a position below head_.
         const unsigned F = params_.commitWidth;
-        if (params_.fetchWidth == F && tail_ - head_ == F &&
-            aluCredit_ >= F) {
-            bool all_ready = true;
-            for (unsigned n = 0; n < F; ++n) {
-                if (window_[(head_ + n) & windowMask_].readyAt > c) {
-                    all_ready = false;
+        const std::uint64_t W = tail_ - head_;
+        if (params_.fetchWidth == F && W >= F && aluCredit_ >= F) {
+            // committed_ + jF + F < commit_cap for every executed cycle
+            // j in [0, n), matching the loop guard.
+            const std::uint64_t cap_room =
+                (commit_cap - committed_ - 1) / F;
+            std::uint64_t n = std::min<std::uint64_t>(
+                {aluCredit_ / F, end - c, cap_room});
+            const std::uint64_t scan = std::min(W, n * F);
+            Cycles due = c;
+            unsigned lane = 0;
+            for (std::uint64_t k = 0; k < scan; ++k) {
+                if (window_[(head_ + k) & windowMask_].readyAt > due) {
+                    n = due - c;
                     break;
                 }
-            }
-            if (all_ready) {
-                std::uint64_t n = std::min<std::uint64_t>(
-                    aluCredit_ / F, end - c);
-                // Per-cycle guard: committed_ + jF + F < cap for every
-                // executed cycle j in [0, n).
-                const std::uint64_t cap_room =
-                    (commit_cap - committed_ - 1) / F;
-                n = std::min(n, cap_room);
-                if (n > 0) {
-                    head_ += n * F;
-                    tail_ += n * F;
-                    committed_ += n * F;
-                    aluCredit_ -= static_cast<std::uint32_t>(n * F);
-                    c += n;
-                    // The F live entries were fetched at cycle c - 1.
-                    for (unsigned k = 0; k < F; ++k) {
-                        WindowEntry &e =
-                            window_[(tail_ - F + k) & windowMask_];
-                        e.readyAt = c;
-                        e.memWait = false;
-                        e.l2Miss = false;
-                    }
-                    continue;
+                if (++lane == F) {
+                    lane = 0;
+                    ++due;
                 }
+            }
+            if (n > 0) {
+                const std::uint64_t fetched = n * F;
+                const std::uint64_t dead = fetched - std::min(W, fetched);
+                Cycles ready = c + 1 + dead / F;
+                lane = static_cast<unsigned>(dead % F);
+                for (std::uint64_t m = dead; m < fetched; ++m) {
+                    WindowEntry &e = window_[(tail_ + m) & windowMask_];
+                    e.readyAt = ready;
+                    e.memWait = false;
+                    e.l2Miss = false;
+                    if (++lane == F) {
+                        lane = 0;
+                        ++ready;
+                    }
+                }
+                head_ += fetched;
+                tail_ += fetched;
+                committed_ += fetched;
+                aluCredit_ -= static_cast<std::uint32_t>(fetched);
+                c += n;
+                continue;
             }
         }
         const std::uint64_t head0 = head_;
@@ -450,7 +465,7 @@ Core::runAhead(Cycles now, Cycles end, std::uint64_t commit_cap)
         bool mem_op_fetched = false;
         std::uint64_t dep_block = ~0ULL;
         unsigned alu_taken = 0;
-        WindowEntry slot_undo[kMaxBurstFetch];
+        WindowEntry slot_undo[kMaxBurstFetch]; // Left uninitialised.
         for (unsigned n = 0; n < params_.fetchWidth; ++n) {
             if (windowFull())
                 break;
@@ -542,7 +557,6 @@ Core::runAhead(Cycles now, Cycles end, std::uint64_t commit_cap)
                     aborted = true; // New L2 miss: needs DRAM.
                     break;
                 }
-                lastLoadPos_ = tail_;
             }
             ++tail_;
             mem_op_fetched = true;

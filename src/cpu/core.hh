@@ -120,6 +120,14 @@ class Core
      * rolled back untouched and re-executed later through the normal
      * tick() path at the correct global cycle.
      *
+     * The closed-form ALU batch applies at any window occupancy
+     * W >= F when fetch and commit are both F wide and ALU credits are
+     * banked: entry head + k then commits at cycle now + k/F, so a run
+     * of n cycles is valid exactly while every entry k < min(W, nF)
+     * already in the window is ready by its commit cycle (entries
+     * fetched inside the run always are). The result is bit-identical
+     * to stepping those cycles one at a time.
+     *
      * When mshrInUse() != 0 the caller MUST cap @p end at the earliest
      * cycle a completion for this thread could be *observed*
      * (MemorySystem::nextCompletionEffectCpuCycle): an in-flight miss
@@ -150,19 +158,27 @@ class Core
     std::uint64_t l2Hits() const { return l2_.hits(); }
     /** MSHR entries currently allocated (misses in flight). */
     unsigned mshrInUse() const { return mshr_.inUse(); }
+    /** Instructions fetched but not yet committed. */
+    std::uint64_t windowOccupancy() const { return tail_ - head_; }
 
     /** Register this core's gauges/counters (core.t<id>.*) into the
      *  telemetry registry. */
     void registerTelemetry(TelemetryRegistry &registry);
 
   private:
+    /** No default member initialisers, on purpose: runAhead()'s
+     *  per-cycle slot-undo buffer is a local array of these and must
+     *  stay uninitialised storage (initialising it costs a memset on
+     *  every stepped cycle). window_ itself is value-initialised, i.e.
+     *  zeroed, by its vector constructor. */
     struct WindowEntry
     {
-        Cycles readyAt = 0;
-        bool memWait = false; ///< Still waiting on the DRAM data.
-        bool l2Miss = false;  ///< Load that missed the L2 (for stall
-                              ///< attribution, including the return-path
-                              ///< overhead after the data arrives).
+        Cycles readyAt;
+        bool memWait; ///< Still waiting on the DRAM data (readyAt is
+                      ///< kNever until the data arrives).
+        bool l2Miss;  ///< Load that missed the L2 (for stall
+                      ///< attribution, including the return-path
+                      ///< overhead after the data arrives).
     };
 
     bool windowFull() const { return tail_ - head_ >= params_.windowSize; }
@@ -209,8 +225,6 @@ class Core
     bool memPending_ = false;
     TraceOp pendingOp_;
 
-    /** Position of the most recent load (for dependence stalls). */
-    std::uint64_t lastLoadPos_ = ~0ULL;
     /** Position of the most recent L2-missing load: dependence chains
      *  serialize misses on each other (pointer chasing), not on
      *  interleaved cache-hitting loads. */

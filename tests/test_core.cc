@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for the trace-driven core: commit/stall accounting, cache
- * interaction, MLP and dependence serialization, writeback flow.
+ * interaction, MLP and dependence serialization, writeback flow, and
+ * run-ahead bursts against a cycle-by-cycle twin.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <vector>
 
+#include "common/rng.hh"
 #include "cpu/core.hh"
 
 namespace stfm
@@ -284,6 +287,178 @@ TEST(Core, WindowLimitsMlp)
     Core core(0, CoreParams{}, trace, memory);
     run(core, 0, 120);
     EXPECT_LE(memory.reads.size(), 2u);
+}
+
+// ---------------------------------------------------------------------
+// runAhead() twin: one core bursts ahead wherever it may, its twin
+// ticks every cycle; they must agree wherever the burst core stops.
+// ---------------------------------------------------------------------
+
+constexpr Addr kWarmBase = 0x2000000;
+constexpr unsigned kWarmLines = 4096; // 256 KiB: L2-resident, not L1.
+constexpr unsigned kHotLines = 16;    // Reused, so mostly L1 hits.
+
+/** Prewarm every line the twin traces touch, so no access misses the
+ *  L2 and the memory system is never involved. */
+void
+prewarmTwin(Core &core)
+{
+    std::vector<WarmLine> lines;
+    for (unsigned i = 0; i < kWarmLines; ++i)
+        lines.push_back({kWarmBase + Addr{i} * 64, false});
+    core.prewarmCaches(lines);
+}
+
+/** ALU runs of varied length between L1-hit loads, L2-hit loads and
+ *  store hits: every load that commits late lifts the window above
+ *  the fetch width, so steady ALU stretches run at many occupancies. */
+std::vector<TraceOp>
+twinOps(unsigned count)
+{
+    Rng rng(0x7e1ULL);
+    std::vector<TraceOp> ops;
+    for (unsigned i = 0; i < count; ++i) {
+        const bool hot = rng.nextBool(0.5);
+        const Addr line = rng.nextBelow(hot ? kHotLines : kWarmLines);
+        const Addr addr = kWarmBase + line * 64;
+        const auto alu = static_cast<std::uint32_t>(rng.nextBelow(48));
+        if (rng.nextBool(0.25)) {
+            TraceOp op = storeOp(addr);
+            op.aluBefore = alu;
+            ops.push_back(op);
+        } else {
+            ops.push_back(loadOp(addr, alu, rng.nextBool(0.2)));
+        }
+    }
+    return ops;
+}
+
+void
+expectTwins(const Core &fast, const Core &slow)
+{
+    EXPECT_EQ(fast.instructionsCommitted(), slow.instructionsCommitted());
+    EXPECT_EQ(fast.memStallCycles(), slow.memStallCycles());
+    EXPECT_EQ(fast.l1Hits(), slow.l1Hits());
+    EXPECT_EQ(fast.l2Hits(), slow.l2Hits());
+    EXPECT_EQ(fast.l2Misses(), slow.l2Misses());
+    EXPECT_EQ(fast.windowOccupancy(), slow.windowOccupancy());
+}
+
+/** Tick @p core through cycles [@p from, @p to). */
+void
+tickTo(Core &core, Cycles &from, Cycles to)
+{
+    while (from < to)
+        core.tick(from++);
+}
+
+TEST(CoreRunAhead, MatchesTickTwinAtEveryOccupancy)
+{
+    const std::vector<TraceOp> ops = twinOps(3000);
+    ScriptedTrace fast_trace(ops);
+    ScriptedTrace slow_trace(ops);
+    StubMemory fast_memory;
+    StubMemory slow_memory;
+    const CoreParams params;
+    Core fast(0, params, fast_trace, fast_memory);
+    Core slow(0, params, slow_trace, slow_memory);
+    prewarmTwin(fast);
+    prewarmTwin(slow);
+
+    // Nothing here touches memory, so one burst could run to the end;
+    // bursts of random length give the twins many meeting points.
+    constexpr Cycles kEnd = 40000;
+    constexpr std::uint64_t kNoCap = ~0ULL;
+    Rng chunks(0xc4c5ULL);
+    Cycles now = 0;
+    Cycles slow_now = 0;
+    Cycles burst_cycles = 0;
+    std::uint64_t max_burst_occupancy = 0;
+    while (now < kEnd) {
+        const std::uint64_t occupancy = fast.windowOccupancy();
+        const Cycles end =
+            std::min(kEnd, now + 1 + chunks.nextBelow(64));
+        const Cycles ahead = fast.runAhead(now, end, kNoCap);
+        EXPECT_LE(ahead, end);
+        if (ahead == now) {
+            fast.tick(now++);
+        } else {
+            burst_cycles += ahead - now;
+            if (ahead > now + 1)
+                max_burst_occupancy =
+                    std::max(max_burst_occupancy, occupancy);
+            now = ahead;
+        }
+        tickTo(slow, slow_now, now);
+        expectTwins(fast, slow);
+        if (::testing::Test::HasFailure())
+            FAIL() << "twins diverged by cycle " << now;
+    }
+    EXPECT_EQ(now, kEnd);
+    EXPECT_GT(burst_cycles, kEnd / 2);
+    EXPECT_GT(max_burst_occupancy, params.commitWidth);
+    EXPECT_GT(fast.l1Hits(), 0u);
+    EXPECT_GT(fast.l2Hits(), 0u);
+    EXPECT_TRUE(fast_memory.reads.empty());
+    EXPECT_TRUE(fast_memory.writes.empty());
+
+    // Both cores predict the same next event from the same state.
+    fast.tick(now);
+    slow.tick(now);
+    bool fast_stalls = false, fast_waits = false;
+    bool slow_stalls = false, slow_waits = false;
+    EXPECT_EQ(fast.nextEventCycle(now, fast_stalls, fast_waits),
+              slow.nextEventCycle(now, slow_stalls, slow_waits));
+    EXPECT_EQ(fast_stalls, slow_stalls);
+    EXPECT_EQ(fast_waits, slow_waits);
+}
+
+TEST(CoreRunAhead, StopsAtEndAndBelowCommitCapAboveFetchWidth)
+{
+    // 30 ALU ops, then an L2-hit load: commit waits 14 cycles on the
+    // load while fetch keeps filling, so the ALU stretch after it
+    // runs with more than fetch-width entries in flight.
+    const std::vector<TraceOp> ops = {loadOp(kWarmBase, 30)};
+    ScriptedTrace fast_trace(ops);
+    ScriptedTrace slow_trace(ops);
+    StubMemory memory;
+    const CoreParams params;
+    const unsigned width = params.commitWidth;
+    Core fast(0, params, fast_trace, memory);
+    Core slow(0, params, slow_trace, memory);
+    prewarmTwin(fast);
+    prewarmTwin(slow);
+
+    Cycles now = 0;
+    Cycles slow_now = 0;
+    tickTo(fast, now, 40);
+    tickTo(slow, slow_now, 40);
+    ASSERT_EQ(fast.l2Hits(), 1u);
+    const std::uint64_t occupancy = fast.windowOccupancy();
+    ASSERT_GT(occupancy, width);
+
+    // End bound: the burst covers exactly [40, 100).
+    EXPECT_EQ(fast.runAhead(now, 100, ~0ULL), 100u);
+    now = 100;
+    tickTo(slow, slow_now, now);
+    expectTwins(fast, slow);
+    EXPECT_EQ(fast.windowOccupancy(), occupancy);
+
+    // Commit cap: every executed cycle stays strictly below it, and the
+    // burst stops at the first cycle that could reach it. A whole
+    // number of cycles away, so a guard off by one lands on the cap.
+    const std::uint64_t cap = fast.instructionsCommitted() + 17 * width;
+    now = fast.runAhead(now, 10000, cap);
+    EXPECT_LT(fast.instructionsCommitted(), cap);
+    EXPECT_GE(fast.instructionsCommitted() + width, cap);
+    tickTo(slow, slow_now, now);
+    expectTwins(fast, slow);
+
+    // The crossing cycle runs through tick() and matches the twin.
+    fast.tick(now);
+    slow.tick(now);
+    EXPECT_GE(fast.instructionsCommitted(), cap);
+    expectTwins(fast, slow);
 }
 
 } // namespace
