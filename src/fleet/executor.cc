@@ -19,9 +19,16 @@ launchPipedProcess(const std::vector<std::string> &argv)
     STFM_ASSERT(!argv.empty(), "worker launch argv is empty");
     int inPipe[2];
     int outPipe[2];
-    if (::pipe(inPipe) != 0 || ::pipe(outPipe) != 0) {
+    if (::pipe(inPipe) != 0) {
         throw SimError(formatMessage("cannot create worker pipes: %s",
                                      std::strerror(errno)));
+    }
+    if (::pipe(outPipe) != 0) {
+        const int saved = errno;
+        ::close(inPipe[0]);
+        ::close(inPipe[1]);
+        throw SimError(formatMessage("cannot create worker pipes: %s",
+                                     std::strerror(saved)));
     }
     // Parent-held ends must not leak into later workers' execs.
     ::fcntl(inPipe[1], F_SETFD, FD_CLOEXEC);
@@ -58,95 +65,6 @@ launchPipedProcess(const std::vector<std::string> &argv)
     channel.in = inPipe[1];
     channel.out = outPipe[0];
     return channel;
-}
-
-std::string
-shellQuote(const std::string &arg)
-{
-    std::string quoted = "'";
-    for (const char c : arg) {
-        if (c == '\'')
-            quoted += "'\\''";
-        else
-            quoted += c;
-    }
-    quoted += "'";
-    return quoted;
-}
-
-namespace
-{
-
-std::string
-replaceAll(std::string text, const std::string &token,
-           const std::string &value)
-{
-    std::size_t pos = 0;
-    while ((pos = text.find(token, pos)) != std::string::npos) {
-        text.replace(pos, token.size(), value);
-        pos += value.size();
-    }
-    return text;
-}
-
-std::string
-quotedCommand(const std::vector<std::string> &worker_argv)
-{
-    std::string command;
-    for (const std::string &arg : worker_argv) {
-        if (!command.empty())
-            command += ' ';
-        command += shellQuote(arg);
-    }
-    return command;
-}
-
-} // namespace
-
-std::vector<std::string>
-expandLaunchTemplate(const std::vector<std::string> &launch_template,
-                     const std::string &host,
-                     const std::vector<std::string> &worker_argv)
-{
-    STFM_ASSERT(!worker_argv.empty(), "worker argv is empty");
-    const std::string command = quotedCommand(worker_argv);
-    std::vector<std::string> argv;
-    argv.reserve(launch_template.size() + worker_argv.size());
-    bool placed = false;
-    for (const std::string &element : launch_template) {
-        if (element == "{worker}") {
-            argv.insert(argv.end(), worker_argv.begin(),
-                        worker_argv.end());
-            placed = true;
-            continue;
-        }
-        std::string expanded = replaceAll(element, "{host}", host);
-        if (expanded.find("{cmd}") != std::string::npos) {
-            expanded = replaceAll(expanded, "{cmd}", command);
-            placed = true;
-        }
-        argv.push_back(std::move(expanded));
-    }
-    if (!placed)
-        argv.push_back(command); // The ssh idiom: command as one arg.
-    if (argv.empty() || argv[0].empty()) {
-        throw SimError(formatMessage(
-            "node '%s': launch template expands to an empty command",
-            host.c_str()));
-    }
-    return argv;
-}
-
-RemoteExecutor::RemoteExecutor(
-    std::string node, const std::vector<std::string> &launch_template,
-    const std::vector<std::string> &worker_argv)
-    : node_(std::move(node))
-{
-    static const std::vector<std::string> loopback = {
-        "/bin/sh", "-c", "exec {cmd}"};
-    argv_ = expandLaunchTemplate(
-        launch_template.empty() ? loopback : launch_template, node_,
-        worker_argv);
 }
 
 } // namespace fleet

@@ -1,27 +1,11 @@
 /**
  * @file
- * The shard-executor abstraction: how the supervisor turns "launch me
- * a worker" into a process with a frame-protocol channel.
- *
- * PR 5's supervisor fork/exec'd `stfm worker` inline; this interface
- * extracts that launch path so the same poll(2) event loop can drive
- * workers it did not start directly:
- *
- *   - LocalExecutor — fork/exec + a pipe pair, bit-identical to the
- *     PR 5 behavior (same FD_CLOEXEC discipline, same nonblocking
- *     read end, same `_exit(127)` exec-failure sentinel);
- *   - RemoteExecutor — launches the worker *through a command
- *     template* (ssh, a container runtime, or the default loopback
- *     `/bin/sh -c "exec <worker>"` used by CI so the full remote path
- *     is exercised hermetically) and speaks the existing STFM-framed
- *     protocol over the transport's stdio. No wire change: a worker
- *     cannot tell which transport delivered its stdin.
+ * Worker launch: how the supervisor turns "start a worker" into a
+ * process with a frame-protocol channel.
  *
  * The channel is deliberately minimal — a pid to signal and two file
  * descriptors — because the frame protocol (fleet/protocol.hh) is the
- * whole contract. Killing the channel's pid tears down the local
- * transport process; for ssh-like transports the remote worker then
- * sees EOF on stdin and exits on its own (worker.cc's clean-EOF rule).
+ * whole contract between supervisor and worker.
  */
 
 #ifndef STFM_FLEET_EXECUTOR_HH
@@ -48,94 +32,15 @@ struct WorkerChannel
 };
 
 /**
- * Launch `stfm worker` processes for one placement target. launch()
- * throws SimError only when the transport cannot even start a local
- * process (pipe/fork failure); a launch that starts but dies instantly
- * (bad binary, unreachable host, refused connection) is reported
- * through the channel as immediate EOF and classified by the
- * supervisor like any other worker death.
+ * Fork/exec @p argv with a pipe pair on its stdin/stdout. The
+ * parent-held ends are FD_CLOEXEC so they never leak into later
+ * workers, and the read end is nonblocking. Throws SimError only when
+ * no process can be started (pipe/fork failure; every descriptor
+ * opened so far is closed first). An exec that fails in the child
+ * exits 127, which the supervisor sees as immediate EOF and classifies
+ * like any other worker death.
  */
-class ShardExecutor
-{
-  public:
-    virtual ~ShardExecutor() = default;
-
-    virtual WorkerChannel launch() = 0;
-
-    /** Placement target this executor launches on (provenance). */
-    virtual const std::string &node() const = 0;
-
-    /** Transport label for counters/diagnostics ("pipe", "remote"). */
-    virtual const char *transport() const = 0;
-};
-
-/** Shared plumbing: pipes + fork + execvp of @p argv (PR 5's path). */
 WorkerChannel launchPipedProcess(const std::vector<std::string> &argv);
-
-/** The in-process default: fork/exec the worker argv directly. */
-class LocalExecutor final : public ShardExecutor
-{
-  public:
-    LocalExecutor(std::string node, std::vector<std::string> argv)
-        : node_(std::move(node)), argv_(std::move(argv))
-    {
-    }
-
-    WorkerChannel launch() override { return launchPipedProcess(argv_); }
-    const std::string &node() const override { return node_; }
-    const char *transport() const override { return "pipe"; }
-
-    const std::vector<std::string> &argv() const { return argv_; }
-
-  private:
-    std::string node_;
-    std::vector<std::string> argv_;
-};
-
-/**
- * Launch through a node's command template (docs/FLEET.md grammar):
- *
- *   - an element that is exactly `{worker}` is spliced into the
- *     worker argv, element for element (container runtimes);
- *   - `{host}` inside any element is replaced by the node name;
- *   - `{cmd}` inside any element is replaced by the shell-quoted
- *     worker command, one string (shell wrappers);
- *   - a template with neither `{worker}` nor `{cmd}` gets the quoted
- *     command appended as one final argument (the ssh idiom:
- *     `ssh {host} '<cmd>'`).
- *
- * An empty template means the loopback launcher
- * `/bin/sh -c "exec {cmd}"`: the worker runs on this machine but
- * through the full remote path — template expansion, a transport
- * process, stdio forwarding — so CI covers it without a network.
- */
-class RemoteExecutor final : public ShardExecutor
-{
-  public:
-    RemoteExecutor(std::string node,
-                   const std::vector<std::string> &launch_template,
-                   const std::vector<std::string> &worker_argv);
-
-    WorkerChannel launch() override { return launchPipedProcess(argv_); }
-    const std::string &node() const override { return node_; }
-    const char *transport() const override { return "remote"; }
-
-    /** The fully expanded transport argv (tests pin the grammar). */
-    const std::vector<std::string> &argv() const { return argv_; }
-
-  private:
-    std::string node_;
-    std::vector<std::string> argv_;
-};
-
-/** POSIX single-quote @p arg for embedding in a shell command. */
-std::string shellQuote(const std::string &arg);
-
-/** Expand a launch template (see RemoteExecutor) against a host. */
-std::vector<std::string>
-expandLaunchTemplate(const std::vector<std::string> &launch_template,
-                     const std::string &host,
-                     const std::vector<std::string> &worker_argv);
 
 } // namespace fleet
 } // namespace stfm

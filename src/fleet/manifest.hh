@@ -21,6 +21,10 @@
  * match the experiment being resumed, is rejected with a structured
  * error rather than misread.
  *
+ * Entries are read by known keys; any other key is ignored, so
+ * shard lines that carry a `"node"` field (written by builds that had
+ * remote fault domains) still resume.
+ *
  * Only *successful* shards are recorded: a shard that exhausted its
  * process-level retries is reported FAILED in the merged output but
  * stays absent from the manifest, so `--resume` gives it a fresh set
@@ -101,15 +105,9 @@ class ManifestWriter
 
     bool isOpen() const { return fd_ >= 0; }
 
-    /**
-     * Append one completed-shard entry. A non-empty @p node records
-     * which fault domain executed the shard (provenance only — the
-     * loader ignores the field, so manifests written before node
-     * provenance existed resume unchanged, and vice versa).
-     */
+    /** Append one completed-shard entry. */
     void appendShard(unsigned shard, unsigned attempts,
-                     const Json &outcomes,
-                     const std::string &node = std::string());
+                     const Json &outcomes);
 
     /** Append one alone-baseline cache entry. */
     void appendAlone(const std::string &key, const Json &result);

@@ -1,9 +1,13 @@
 #include "harness/cli.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -98,20 +102,7 @@ printUsage(std::ostream &os)
           "  --checkpoint DIR  append completed shards to DIR/manifest.jsonl\n"
           "  --resume          replay checkpointed shards, run the rest\n"
           "  --strict          exit 2 when any shard is merged as FAILED\n"
-          "  --quiet           suppress per-shard progress/ETA on stderr\n"
-          "  --nodes FILE      node registry (stfm-nodes-v1) of placement\n"
-          "                    targets; engages remote executors and\n"
-          "                    node fault domains (docs/FLEET.md)\n"
-          "  --node NAME[:SLOTS]\n"
-          "                    add one node (repeatable; loopback\n"
-          "                    launcher unless the registry names one)\n"
-          "  --node-backoff SEC\n"
-          "                    base node backoff after a charged\n"
-          "                    failure, doubling per consecutive\n"
-          "                    failure (default 0.25)\n"
-          "  --node-quarantine-after N\n"
-          "                    consecutive node failures before\n"
-          "                    quarantine (default 3)\n";
+          "  --quiet           suppress per-shard progress/ETA on stderr\n";
 }
 
 std::string
@@ -140,9 +131,16 @@ struct RunFlags
 unsigned
 parseUnsignedFlag(const std::string &flag, const char *value)
 {
+    // strtoul would accept a sign ("-1" wraps to ULONG_MAX) and leading
+    // blanks, so demand a digit first and check the range ourselves.
     char *end = nullptr;
-    const unsigned long parsed = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0') {
+    errno = 0;
+    const unsigned long parsed =
+        std::isdigit(static_cast<unsigned char>(value[0]))
+            ? std::strtoul(value, &end, 10)
+            : 0;
+    if (end == nullptr || *end != '\0' || errno == ERANGE ||
+        parsed > std::numeric_limits<unsigned>::max()) {
         throw SimError("flag " + flag + " needs an unsigned integer, "
                        "got '" + value + "'");
     }
@@ -150,25 +148,15 @@ parseUnsignedFlag(const std::string &flag, const char *value)
 }
 
 double
-parseSecondsFlag(const std::string &flag, const char *value)
+parseDoubleFlag(const std::string &flag, const char *value,
+                const char *what = "number")
 {
     char *end = nullptr;
     const double parsed = std::strtod(value, &end);
-    if (end == value || *end != '\0' || parsed < 0) {
-        throw SimError("flag " + flag + " needs a non-negative number "
-                       "of seconds, got '" + value + "'");
-    }
-    return parsed;
-}
-
-double
-parseDoubleFlag(const std::string &flag, const char *value)
-{
-    char *end = nullptr;
-    const double parsed = std::strtod(value, &end);
-    if (end == value || *end != '\0' || parsed < 0) {
-        throw SimError("flag " + flag + " needs a non-negative number, "
-                       "got '" + value + "'");
+    if (end == value || *end != '\0' || !std::isfinite(parsed) ||
+        parsed < 0) {
+        throw SimError("flag " + flag + " needs a non-negative " + what +
+                       ", got '" + value + "'");
     }
     return parsed;
 }
@@ -203,28 +191,13 @@ parseRunFlags(const char *command, int argc, char **argv, int first)
             flags.fleetMode = true;
         } else if (arg == "--timeout" && i + 1 < argc) {
             flags.fleetOptions.timeoutSec =
-                parseSecondsFlag(arg, argv[++i]);
+                parseDoubleFlag(arg, argv[++i], "number of seconds");
             flags.fleetMode = true;
         } else if (arg == "--checkpoint" && i + 1 < argc) {
             flags.fleetOptions.checkpoint = argv[++i];
             flags.fleetMode = true;
         } else if (arg == "--resume") {
             flags.fleetOptions.resume = true;
-            flags.fleetMode = true;
-        } else if (arg == "--nodes" && i + 1 < argc) {
-            flags.fleetOptions.nodesFile = argv[++i];
-            flags.fleetMode = true;
-        } else if (arg == "--node" && i + 1 < argc) {
-            flags.fleetOptions.nodeSpecs.push_back(
-                fleet::parseNodeFlag(argv[++i]));
-            flags.fleetMode = true;
-        } else if (arg == "--node-backoff" && i + 1 < argc) {
-            flags.fleetOptions.nodeBackoffSec =
-                parseSecondsFlag(arg, argv[++i]);
-            flags.fleetMode = true;
-        } else if (arg == "--node-quarantine-after" && i + 1 < argc) {
-            flags.fleetOptions.nodeQuarantineAfter =
-                parseUnsignedFlag(arg, argv[++i]);
             flags.fleetMode = true;
         } else if (arg == "--strict") {
             flags.strict = true;

@@ -41,8 +41,7 @@ constexpr const char *kSpecText = R"({
     "budget": 4000
 })";
 
-/** Four jobs, so netfault scenarios get enough shards to both lose a
- *  node mid-sweep and finish the rest of the work elsewhere. */
+/** Four jobs: enough shards to checkpoint two and still resume two. */
 constexpr const char *kWideSpecText = R"({
     "name": "fleet_it_wide",
     "workloads": [["mcf", "h264ref"], ["mcf", "hmmer"]],
@@ -73,17 +72,6 @@ class FaultGuard
         setenv("STFM_FAULT", plan, 1);
     }
     ~FaultGuard() { unsetenv("STFM_FAULT"); }
-};
-
-/** Sets STFM_NETFAULT for the supervisor; always cleans up. */
-class NetFaultGuard
-{
-  public:
-    explicit NetFaultGuard(const char *plan)
-    {
-        setenv("STFM_NETFAULT", plan, 1);
-    }
-    ~NetFaultGuard() { unsetenv("STFM_NETFAULT"); }
 };
 
 /** A throwaway file under the gtest temp dir. */
@@ -144,6 +132,31 @@ std::string
 referenceBytes(const ExperimentSpec &spec)
 {
     return resultsJson(runExperiment(spec)).dump();
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+bool
+fileExists(const std::string &path)
+{
+    struct stat info;
+    return ::stat(path.c_str(), &info) == 0;
+}
+
+/** Exit code of `stfm <args>` (output discarded), or -1. */
+int
+runCli(const char *cli, const std::string &args)
+{
+    const int rc = std::system(
+        (std::string(cli) + " " + args + " >/dev/null 2>&1").c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
 TEST(FleetIntegration, CleanShardedRunIsByteIdenticalToInProcess)
@@ -454,186 +467,6 @@ TEST(FleetIntegration, AloneBaselinesAreSharedThroughTheManifest)
         << "baselines should be checkpointed for cross-shard reuse";
 }
 
-// Node fault domains / remote executors ------------------------------
-
-/** Two loopback single-slot nodes: the smallest real fault-domain
- *  topology (something to migrate off of, somewhere to land). */
-std::vector<NodeSpec>
-nodePair()
-{
-    NodeSpec n0, n1;
-    n0.name = "n0";
-    n1.name = "n1";
-    return {n0, n1};
-}
-
-TEST(FleetIntegration, RemoteLoopbackRunIsByteIdenticalToInProcess)
-{
-    FleetOptions options = baseOptions();
-    REQUIRE_CLI(options.workerArgv);
-    const ExperimentSpec spec = specFromText(kSpecText);
-    options.shards = 2;
-    options.workers = 2;
-    options.nodeSpecs = nodePair();
-
-    const FleetOutcome outcome = runShardedExperiment(spec, options);
-    EXPECT_FALSE(outcome.interrupted);
-    EXPECT_FALSE(outcome.anyFailed());
-    EXPECT_EQ(outcome.stats.shardsCompleted, 2u);
-    // The transport is invisible to the workers and to the merge.
-    EXPECT_EQ(resultsJson(outcome.result).dump(),
-              referenceBytes(spec));
-}
-
-TEST(FleetIntegration, NodeRegistryFileDrivesPlacementAndProvenance)
-{
-    FleetOptions options = baseOptions();
-    REQUIRE_CLI(options.workerArgv);
-    const ExperimentSpec spec = specFromText(kSpecText);
-    TempDir checkpoint("fleet_it_registry");
-    TempFile registry("fleet_it_nodes.json",
-                      R"({"schema": "stfm-nodes-v1", "nodes": [)"
-                      R"({"name": "n0", "slots": 2},)"
-                      R"({"name": "n1"}]})");
-    options.checkpoint = checkpoint.path();
-    options.nodesFile = registry.path();
-    options.shards = 2;
-    options.workers = 2;
-
-    const FleetOutcome outcome = runShardedExperiment(spec, options);
-    EXPECT_FALSE(outcome.anyFailed());
-    EXPECT_EQ(resultsJson(outcome.result).dump(),
-              referenceBytes(spec));
-
-    std::ifstream in(checkpoint.path() + "/fleet_counters.json",
-                     std::ios::binary);
-    ASSERT_TRUE(in.is_open());
-    std::ostringstream text;
-    text << in.rdbuf();
-    const Json doc = Json::parse(text.str());
-    EXPECT_TRUE(doc.at("final", "counters").asBool());
-    const Json &shards = doc.at("shards", "counters");
-    ASSERT_EQ(shards.size(), 2u);
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-        const std::string node =
-            shards.at(i).at("node", "record").asString();
-        EXPECT_TRUE(node == "n0" || node == "n1") << node;
-    }
-    const Json &nodes = doc.at("nodes", "counters");
-    ASSERT_EQ(nodes.size(), 2u);
-    std::uint64_t dispatches = 0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        EXPECT_EQ(nodes.at(i).at("transport", "node").asString(),
-                  "remote");
-        EXPECT_FALSE(nodes.at(i).at("quarantined", "node").asBool());
-        dispatches += nodes.at(i).at("dispatches", "node").asUint();
-    }
-    EXPECT_EQ(dispatches, 2u); // One per shard, no replays.
-}
-
-TEST(FleetIntegration, DroppedDispatchTripsLivenessAndReplays)
-{
-    FleetOptions options = baseOptions();
-    REQUIRE_CLI(options.workerArgv);
-    const ExperimentSpec spec = specFromText(kSpecText);
-    options.shards = 2;
-    options.workers = 2;
-    options.nodeSpecs = nodePair();
-    options.nodeBackoffSec = 0.01;
-    options.livenessSec = 0.5;
-    // Under sanitizers + parallel test load, retries can land back on
-    // n0 before n1 frees up; give the shard budget to ride that out.
-    options.retries = 6;
-
-    // The first dispatch toward n0 is lost in flight: its worker
-    // idles on a unit the supervisor believes is running, so the
-    // liveness window must reclaim and replay the shard.
-    NetFaultGuard net("drop@n0:1");
-    const FleetOutcome outcome = runShardedExperiment(spec, options);
-    EXPECT_FALSE(outcome.anyFailed());
-    EXPECT_GE(outcome.stats.netfaults, 1u);
-    EXPECT_GE(outcome.stats.hangs, 1u);
-    EXPECT_EQ(resultsJson(outcome.result).dump(),
-              referenceBytes(spec));
-}
-
-TEST(FleetIntegration, StalledNodeGoesDarkAndTheShardReplaysElsewhere)
-{
-    FleetOptions options = baseOptions();
-    REQUIRE_CLI(options.workerArgv);
-    const ExperimentSpec spec = specFromText(kSpecText);
-    options.shards = 2;
-    options.workers = 2;
-    options.nodeSpecs = nodePair();
-    options.nodeBackoffSec = 0.01;
-    options.livenessSec = 0.5;
-    // The stalled node stays placeable until its hang charges reach
-    // quarantine (3); every one of those can burn a shard attempt, so
-    // the budget must outlast the charge path with margin to spare.
-    options.retries = 6;
-
-    // One-way partition: n0 keeps receiving dispatches but every byte
-    // it sends back (heartbeats, results) is discarded.
-    NetFaultGuard net("stall@n0:1");
-    const FleetOutcome outcome = runShardedExperiment(spec, options);
-    EXPECT_FALSE(outcome.anyFailed());
-    EXPECT_GE(outcome.stats.netfaults, 1u);
-    EXPECT_GE(outcome.stats.hangs, 1u);
-    EXPECT_EQ(resultsJson(outcome.result).dump(),
-              referenceBytes(spec));
-}
-
-TEST(FleetIntegration, SeveredNodeIsQuarantinedAndShardsMigrate)
-{
-    FleetOptions options = baseOptions();
-    REQUIRE_CLI(options.workerArgv);
-    const ExperimentSpec spec = specFromText(kWideSpecText);
-    options.shards = 4;
-    options.workers = 2;
-    options.nodeSpecs = nodePair();
-    options.nodeBackoffSec = 0.01;
-
-    // n0 vanishes at its very first dispatch: the in-flight shard must
-    // migrate (retry budget untouched), later launch attempts must be
-    // charged to the node until it is quarantined, and the whole sweep
-    // must still merge byte-identically off the surviving node.
-    NetFaultGuard net("sever@n0:1");
-    const FleetOutcome outcome = runShardedExperiment(spec, options);
-    EXPECT_FALSE(outcome.anyFailed());
-    EXPECT_GE(outcome.stats.netfaults, 1u);
-    EXPECT_GE(outcome.stats.migrations, 1u);
-    EXPECT_GE(outcome.stats.launchFailures, 1u);
-    EXPECT_EQ(outcome.stats.nodesQuarantined, 1u);
-    EXPECT_EQ(outcome.stats.shardsCompleted, 4u);
-    EXPECT_EQ(resultsJson(outcome.result).dump(),
-              referenceBytes(spec));
-}
-
-TEST(FleetIntegration, FlappingNodeBacksOffOnceAndRejoins)
-{
-    FleetOptions options = baseOptions();
-    REQUIRE_CLI(options.workerArgv);
-    const ExperimentSpec spec = specFromText(kWideSpecText);
-    options.shards = 4;
-    options.workers = 2;
-    options.nodeSpecs = nodePair();
-    options.nodeBackoffSec = 0.01;
-
-    // A transient partition: n0 dies at its first dispatch but heals
-    // as soon as a launch attempt notices. It must rejoin after one
-    // backoff — never quarantined, never charged a failure.
-    NetFaultGuard net("flap@n0:1");
-    const FleetOutcome outcome = runShardedExperiment(spec, options);
-    EXPECT_FALSE(outcome.anyFailed());
-    EXPECT_GE(outcome.stats.netfaults, 1u);
-    EXPECT_GE(outcome.stats.migrations, 1u);
-    EXPECT_GE(outcome.stats.launchFailures, 1u);
-    EXPECT_EQ(outcome.stats.nodesQuarantined, 0u);
-    EXPECT_EQ(outcome.stats.shardsCompleted, 4u);
-    EXPECT_EQ(resultsJson(outcome.result).dump(),
-              referenceBytes(spec));
-}
-
 TEST(FleetIntegration, SigkilledWorkerIsClassifiedAndRetried)
 {
     FleetOptions options = baseOptions();
@@ -686,26 +519,11 @@ TEST(FleetIntegration, PreNodeManifestResumesByteIdentically)
     const FleetOutcome first = runShardedExperiment(spec, options);
     EXPECT_TRUE(first.interrupted);
 
-    // Rewrite the manifest to the pre-provenance shape: shard records
-    // without a "node" key, as written before this schema addition.
-    const std::string manifestPath =
-        checkpoint.path() + "/manifest.jsonl";
-    std::string text;
-    {
-        std::ifstream in(manifestPath, std::ios::binary);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        text = buf.str();
-    }
-    const std::string needle = ",\"node\":\"local\"";
-    ASSERT_NE(text.find(needle), std::string::npos);
-    for (std::size_t at; (at = text.find(needle)) != std::string::npos;)
-        text.erase(at, needle.size());
-    {
-        std::ofstream out(manifestPath,
-                          std::ios::binary | std::ios::trunc);
-        out << text;
-    }
+    // Shard records carry no "node" key: the shape manifests had
+    // before node provenance existed.
+    EXPECT_EQ(readFile(checkpoint.path() + "/manifest.jsonl")
+                  .find("\"node\""),
+              std::string::npos);
 
     FleetOptions resume = options;
     resume.stopAfter = 0;
@@ -713,6 +531,57 @@ TEST(FleetIntegration, PreNodeManifestResumesByteIdentically)
     const FleetOutcome second = runShardedExperiment(spec, resume);
     EXPECT_FALSE(second.interrupted);
     EXPECT_EQ(second.stats.shardsResumed, 1u);
+    EXPECT_EQ(resultsJson(second.result).dump(),
+              referenceBytes(spec));
+}
+
+TEST(FleetIntegration, NodeTaggedManifestResumesByteIdentically)
+{
+    FleetOptions options = baseOptions();
+    REQUIRE_CLI(options.workerArgv);
+    const ExperimentSpec spec = specFromText(kWideSpecText);
+    TempDir checkpoint("fleet_it_nodetag");
+    options.shards = 4;
+    options.workers = 1;
+    options.checkpoint = checkpoint.path();
+    options.stopAfter = 2;
+
+    const FleetOutcome first = runShardedExperiment(spec, options);
+    EXPECT_TRUE(first.interrupted);
+
+    // Tag the two shard records the way builds with remote fault
+    // domains wrote them: "local" for a plain run, "n0" for a shard
+    // placed on a registered node of that name.
+    const std::string manifestPath =
+        checkpoint.path() + "/manifest.jsonl";
+    std::istringstream lines(readFile(manifestPath));
+    std::string tagged;
+    const char *nodes[] = {"local", "n0"};
+    std::size_t shardLines = 0;
+    for (std::string line; std::getline(lines, line);) {
+        Json entry = Json::parse(line);
+        const Json *type = entry.find("type");
+        if (type && type->isString() && type->asString() == "shard") {
+            ASSERT_LT(shardLines, 2u);
+            entry.set("node", nodes[shardLines++]);
+        }
+        tagged += entry.dump() + "\n";
+    }
+    ASSERT_EQ(shardLines, 2u);
+    ASSERT_NE(tagged.find("\"node\":\"n0\""), std::string::npos);
+    {
+        std::ofstream out(manifestPath,
+                          std::ios::binary | std::ios::trunc);
+        out << tagged;
+    }
+
+    FleetOptions resume = options;
+    resume.stopAfter = 0;
+    resume.resume = true;
+    const FleetOutcome second = runShardedExperiment(spec, resume);
+    EXPECT_FALSE(second.interrupted);
+    EXPECT_EQ(second.stats.shardsResumed, 2u);
+    EXPECT_EQ(second.stats.shardsCompleted, 2u);
     EXPECT_EQ(resultsJson(second.result).dump(),
               referenceBytes(spec));
 }
@@ -788,6 +657,59 @@ TEST(FleetIntegration, ReportCliRejectsUselessInputs)
             .c_str());
     ASSERT_TRUE(WIFEXITED(missingRc));
     EXPECT_EQ(WEXITSTATUS(missingRc), 1);
+}
+
+TEST(FleetIntegration, NonFiniteOrHugeNumbersAreUsageErrors)
+{
+    const char *cli = std::getenv("STFM_CLI");
+    if (!cli || !*cli)
+        GTEST_SKIP() << "STFM_CLI is not set (run via ctest)";
+    TempFile spec("fleet_it_flags_spec.json", kSpecText);
+    TempDir checkpoint("fleet_it_flags_timeout");
+    const std::string manifest = checkpoint.path() + "/manifest.jsonl";
+
+    // A deadline of now + timeout must fit the steady clock; these
+    // once overflowed and killed every shard on its first attempt.
+    for (const char *timeout : {"inf", "1e300", "nan"}) {
+        EXPECT_EQ(runCli(cli, "run " + spec.path() + " --shards 2 " +
+                                  "--workers 2 --checkpoint " +
+                                  checkpoint.path() + " --timeout " +
+                                  timeout),
+                  1)
+            << "--timeout " << timeout;
+        EXPECT_FALSE(fileExists(manifest))
+            << "--timeout " << timeout << " started a sweep";
+    }
+
+    // A NaN threshold would make the regression gate unable to fail.
+    const std::string diffOut =
+        std::string(::testing::TempDir()) + "fleet_it_flags_diff.json";
+    std::remove(diffOut.c_str());
+    EXPECT_EQ(runCli(cli, "report " + spec.path() + " --diff " +
+                              spec.path() + " --diff-out " + diffOut +
+                              " --threshold nan"),
+              1);
+    EXPECT_FALSE(fileExists(diffOut));
+}
+
+TEST(FleetIntegration, SignedOrOversizedCountsAreUsageErrors)
+{
+    const char *cli = std::getenv("STFM_CLI");
+    if (!cli || !*cli)
+        GTEST_SKIP() << "STFM_CLI is not set (run via ctest)";
+    TempFile spec("fleet_it_counts_spec.json", kSpecText);
+    TempDir checkpoint("fleet_it_flags_counts");
+    const std::string manifest = checkpoint.path() + "/manifest.jsonl";
+
+    // -1 once wrapped to 4294967295 retries; 2^32 was truncated to 0.
+    for (const char *flag :
+         {"--retries -1", "--workers 4294967296", "--shards ''"}) {
+        EXPECT_EQ(runCli(cli, "run " + spec.path() + " --checkpoint " +
+                                  checkpoint.path() + " " + flag),
+                  1)
+            << flag;
+        EXPECT_FALSE(fileExists(manifest)) << flag << " started a sweep";
+    }
 }
 
 } // namespace
