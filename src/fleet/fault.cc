@@ -1,8 +1,10 @@
 #include "fleet/fault.hh"
 
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace stfm
 {
@@ -43,14 +45,14 @@ parseFaultPlan(const std::string &text)
             kind.c_str()));
     }
 
-    char *end = nullptr;
-    const unsigned long shard = std::strtoul(index.c_str(), &end, 10);
-    if (end == index.c_str() || *end != '\0') {
+    const auto shard = parseDecimal(index.c_str(), 0,
+                                    std::numeric_limits<unsigned>::max());
+    if (!shard) {
         throw SimError(formatMessage(
-            "STFM_FAULT: shard index '%s' is not a number",
+            "STFM_FAULT: shard index '%s' is not an unsigned integer",
             index.c_str()));
     }
-    plan.shard = static_cast<unsigned>(shard);
+    plan.shard = static_cast<unsigned>(*shard);
     return plan;
 }
 

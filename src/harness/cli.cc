@@ -1,7 +1,5 @@
 #include "harness/cli.hh"
 
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,11 +11,11 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "fleet/supervisor.hh"
 #include "fleet/worker.hh"
 #include "harness/experiment.hh"
 #include "harness/figures.hh"
-#include "harness/perfbench.hh"
 #include "harness/spec.hh"
 #include "dram/device_spec.hh"
 #include "obs/telemetry.hh"
@@ -47,14 +45,12 @@ printUsage(std::ostream &os)
           "  list figures              registered paper figures\n"
           "  list telemetry            the telemetry series catalog\n"
           "  list devices              built-in DRAM device presets\n"
-          "  bench [flags]             time the fig09 sweep on both\n"
-          "                            paths, append a perf-trajectory\n"
-          "                            entry to BENCH_perf.json\n"
           "  report <paths...> [flags] fold sweep artifacts (results\n"
           "                            JSON, manifest.jsonl, telemetry)\n"
           "                            into a stfm-report-v1 rollup\n"
           "                            (docs/REPORTING.md)\n"
-          "  <figure> [flags]          run a figure (fig09, table5, ...)\n"
+          "  <figure> [flags]          run a figure (fig09, table5, ...;\n"
+          "                            see `stfm list figures`)\n"
           "  help                      this message\n"
           "\n"
           "flags (report):\n"
@@ -75,6 +71,7 @@ printUsage(std::ostream &os)
           "\n"
           "flags (run and figures):\n"
           "  --json PATH       also write machine-readable results\n"
+          "                    (not for [custom] figures)\n"
           "  --check           run under the integrity layer\n"
           "  --reference       pin the cycle-by-cycle reference path\n"
           "  --jobs N          worker-pool width\n"
@@ -83,18 +80,12 @@ printUsage(std::ostream &os)
           "  --trace PATH      export a Chrome trace (docs/TRACING.md)\n"
           "  --device NAME     run on a DRAM device preset or spec file\n"
           "                    (see `stfm list devices`)\n"
-          "  --full            full-size sweep (sampled figures)\n"
+          "  --full            full-size sweep (figures only; the\n"
+          "                    STFM_FULL_SWEEP variable does the same)\n"
           "\n"
-          "flags (bench; docs/EXPERIMENTS.md, perf methodology):\n"
-          "  --label NAME      trajectory entry label (default: local)\n"
-          "  --out PATH        trajectory file (default: BENCH_perf.json)\n"
-          "  --workloads N     sweep width (default 32 = fig09 sample)\n"
-          "  --scaling LIST    thread-scaling points, e.g. 1,2,4\n"
-          "  --jobs N          worker-pool width for the main sweeps\n"
-          "  --instructions N  per-thread instruction-budget override\n"
-          "\n"
-          "fleet flags (run only; any of them engages the supervised\n"
-          "worker-process pool, see docs/ARCHITECTURE.md):\n"
+          "fleet flags (run and all but [custom] figures; any of them\n"
+          "engages the supervised worker-process pool, see\n"
+          "docs/ARCHITECTURE.md):\n"
           "  --shards N        shard count (default: one per result row)\n"
           "  --workers N       concurrent worker processes\n"
           "  --retries N       process-level retries per shard (default 2)\n"
@@ -116,11 +107,13 @@ readFile(const std::string &path)
     return text.str();
 }
 
-/** Shared flag parsing for `run` and `validate`. */
+/** Shared flag parsing for `run`, `validate` and the figures. */
 struct RunFlags
 {
     std::string specPath;
     std::string jsonPath;
+    /** Full-size sweep (figures only). */
+    bool full = false;
     /** Any fleet flag was given: run through the worker pool. */
     bool fleetMode = false;
     /** FAILED shards make the exit code nonzero. */
@@ -131,20 +124,28 @@ struct RunFlags
 unsigned
 parseUnsignedFlag(const std::string &flag, const char *value)
 {
-    // strtoul would accept a sign ("-1" wraps to ULONG_MAX) and leading
-    // blanks, so demand a digit first and check the range ourselves.
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long parsed =
-        std::isdigit(static_cast<unsigned char>(value[0]))
-            ? std::strtoul(value, &end, 10)
-            : 0;
-    if (end == nullptr || *end != '\0' || errno == ERANGE ||
-        parsed > std::numeric_limits<unsigned>::max()) {
+    const auto parsed =
+        parseDecimal(value, 0, std::numeric_limits<unsigned>::max());
+    if (!parsed) {
         throw SimError("flag " + flag + " needs an unsigned integer, "
                        "got '" + value + "'");
     }
-    return static_cast<unsigned>(parsed);
+    return static_cast<unsigned>(*parsed);
+}
+
+/**
+ * --jobs / --instructions: checked here so the error names the flag,
+ * then passed on through the environment like the other run flags.
+ */
+void
+setCountEnv(const char *variable, const std::string &flag,
+            const char *value, std::uint64_t max)
+{
+    if (!parseDecimal(value, 1, max)) {
+        throw SimError("flag " + flag + " needs a positive integer, "
+                       "got '" + value + "'");
+    }
+    setenv(variable, value, 1);
 }
 
 double
@@ -169,11 +170,16 @@ endsWith(const std::string &text, const std::string &suffix)
                         suffix) == 0;
 }
 
+/**
+ * Flags after `stfm <command>`. A figure takes --full and no spec
+ * file; run and validate take one spec file and no --full.
+ */
 RunFlags
-parseRunFlags(const char *command, int argc, char **argv, int first)
+parseRunFlags(const std::string &command, int argc, char **argv,
+              bool figure = false)
 {
     RunFlags flags;
-    for (int i = first; i < argc; ++i) {
+    for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json" && i + 1 < argc) {
             flags.jsonPath = argv[++i];
@@ -209,28 +215,32 @@ parseRunFlags(const char *command, int argc, char **argv, int first)
         } else if (arg == "--reference") {
             setenv("STFM_REFERENCE", "1", 1);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            setenv("STFM_JOBS", argv[++i], 1);
+            setCountEnv("STFM_JOBS", arg, argv[++i],
+                        std::numeric_limits<unsigned>::max());
         } else if (arg == "--instructions" && i + 1 < argc) {
-            setenv("STFM_INSTRUCTIONS", argv[++i], 1);
+            setCountEnv("STFM_INSTRUCTIONS", arg, argv[++i],
+                        std::numeric_limits<std::uint64_t>::max());
         } else if (arg == "--telemetry") {
             setenv("STFM_TELEMETRY", "1", 1);
         } else if (arg == "--trace" && i + 1 < argc) {
             setenv("STFM_TRACE", argv[++i], 1);
         } else if (arg == "--device" && i + 1 < argc) {
             setenv("STFM_DEVICE", argv[++i], 1);
+        } else if (arg == "--full" && figure) {
+            flags.full = true;
         } else if (!arg.empty() && arg[0] == '-') {
-            throw SimError(std::string("unknown flag '") + arg +
-                           "' for stfm " + command);
-        } else if (flags.specPath.empty()) {
+            throw SimError("unknown flag '" + arg + "' for stfm " +
+                           command);
+        } else if (flags.specPath.empty() && !figure) {
             flags.specPath = arg;
         } else {
-            throw SimError(std::string("stfm ") + command +
-                           " takes one spec file (got '" + arg + "')");
+            throw SimError("stfm " + command + " takes " +
+                           (figure ? "no spec file" : "one spec file") +
+                           " (got '" + arg + "')");
         }
     }
-    if (flags.specPath.empty())
-        throw SimError(std::string("stfm ") + command +
-                       " needs a spec file argument");
+    if (flags.specPath.empty() && !figure)
+        throw SimError("stfm " + command + " needs a spec file argument");
     return flags;
 }
 
@@ -247,11 +257,10 @@ finishRun(const ExperimentResult &result, const RunFlags &flags)
     return 0;
 }
 
+/** Execute @p spec in process or, given a fleet flag, sharded. */
 int
-commandRun(int argc, char **argv)
+runSpec(const ExperimentSpec &spec, const RunFlags &flags)
 {
-    const RunFlags flags = parseRunFlags("run", argc, argv, 2);
-    const ExperimentSpec spec = specFromText(readFile(flags.specPath));
     if (!flags.fleetMode) {
         const ExperimentResult result = runExperiment(spec);
         return finishRun(result, flags);
@@ -283,41 +292,40 @@ commandRun(int argc, char **argv)
 }
 
 int
-commandBench(int argc, char **argv)
+commandRun(int argc, char **argv)
 {
-    // Environment first (STFM_BENCH_*), explicit flags override — the
-    // same layering the run/figure commands use for STFM_JOBS et al.
-    PerfBenchOptions options = perfBenchOptionsFromEnv();
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--label" && i + 1 < argc) {
-            options.label = argv[++i];
-        } else if (arg == "--out" && i + 1 < argc) {
-            options.outPath = argv[++i];
-        } else if (arg == "--workloads" && i + 1 < argc) {
-            options.workloads = parseUnsignedFlag(arg, argv[++i]);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            options.jobs = parseUnsignedFlag(arg, argv[++i]);
-        } else if (arg == "--instructions" && i + 1 < argc) {
-            options.budget = parseUnsignedFlag(arg, argv[++i]);
-        } else if (arg == "--scaling" && i + 1 < argc) {
-            options.scalingJobs.clear();
-            std::istringstream list(argv[++i]);
-            std::string item;
-            while (std::getline(list, item, ','))
-                options.scalingJobs.push_back(
-                    parseUnsignedFlag(arg, item.c_str()));
-        } else {
-            throw SimError("unknown flag '" + arg + "' for stfm bench");
-        }
+    const RunFlags flags = parseRunFlags("run", argc, argv);
+    return runSpec(specFromText(readFile(flags.specPath)), flags);
+}
+
+/**
+ * `stfm <figure>`: a spec-driven figure runs its registry spec exactly
+ * as `stfm run` runs a spec file. A custom figure is a plain function
+ * with no results document to write and no job grid to shard, so the
+ * flags that need one are usage errors.
+ */
+int
+commandFigure(const Figure &figure, int argc, char **argv)
+{
+    const RunFlags flags =
+        parseRunFlags(figure.name, argc, argv, /*figure=*/true);
+    const bool full =
+        flags.full || std::getenv("STFM_FULL_SWEEP") != nullptr;
+    if (figure.specDriven())
+        return runSpec(figure.spec(full), flags);
+    if (!flags.jsonPath.empty() || flags.fleetMode) {
+        throw SimError("stfm " + figure.name +
+                       " is a custom figure: --json and the fleet "
+                       "flags need a spec-driven one (see `stfm list "
+                       "figures`)");
     }
-    return runPerfBench(options);
+    return figure.custom(full);
 }
 
 int
 commandValidate(int argc, char **argv)
 {
-    const RunFlags flags = parseRunFlags("validate", argc, argv, 2);
+    const RunFlags flags = parseRunFlags("validate", argc, argv);
     const ExperimentSpec spec = specFromText(readFile(flags.specPath));
     const std::vector<Workload> workloads = resolveWorkloads(spec);
     const SimConfig base =
@@ -607,16 +615,12 @@ cliMain(int argc, char **argv)
             return fleet::workerMain();
         if (command == "validate")
             return commandValidate(argc, argv);
-        if (command == "bench")
-            return commandBench(argc, argv);
         if (command == "report")
             return commandReport(argc, argv);
         if (command == "list")
             return commandList(argc, argv);
-        if (findFigure(command)) {
-            // Forward the remaining arguments as the figure's argv.
-            return runFigure(command, argc - 1, argv + 1);
-        }
+        if (const Figure *figure = findFigure(command))
+            return commandFigure(*figure, argc, argv);
     } catch (const SimError &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

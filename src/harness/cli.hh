@@ -10,13 +10,17 @@
  *   stfm list figures              every registered paper figure
  *   stfm <figure> [flags]          run a registered figure (fig09, ...)
  *
- * Flags for `run` (figures parse the same set via runFigure):
+ * `run`, `validate` and the figures share one flag parser:
  *   --json PATH       also emit machine-readable results
  *   --check           run under the integrity layer (STFM_CHECK=1)
  *   --reference       pin the cycle-by-cycle path (STFM_REFERENCE=1)
  *   --jobs N          worker-pool width (STFM_JOBS=N)
  *   --instructions N  per-thread budget override (STFM_INSTRUCTIONS=N)
- *   --full            full-size sweep for figures that sample
+ *   --full            full-size sweep (figures only)
+ * plus the fleet flags (--shards, --workers, ...; `stfm help`). An
+ * unknown flag is an error. A spec-driven figure runs its registry
+ * spec down run's own path; a custom figure refuses --json and the
+ * fleet flags.
  */
 
 #ifndef STFM_HARNESS_CLI_HH

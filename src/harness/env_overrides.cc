@@ -1,7 +1,10 @@
 #include "harness/env_overrides.hh"
 
 #include <cstdlib>
+#include <limits>
 
+#include "common/logging.hh"
+#include "common/parse.hh"
 #include "sim/device_io.hh"
 
 namespace stfm
@@ -18,16 +21,21 @@ flagSet(const char *name)
     return env && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
 }
 
-/** Positive-integer env value, or nullopt when unset/unparsable. */
-std::optional<long long>
-positiveValue(const char *name)
+/**
+ * Positive-integer env value no larger than @p max; nullopt when unset
+ * or empty. Anything else is an error rather than "no override".
+ */
+std::optional<std::uint64_t>
+positiveValue(const char *name, std::uint64_t max)
 {
-    if (const char *env = std::getenv(name)) {
-        const long long parsed = std::atoll(env);
-        if (parsed > 0)
-            return parsed;
-    }
-    return std::nullopt;
+    const char *env = std::getenv(name);
+    if (env == nullptr || env[0] == '\0')
+        return std::nullopt;
+    if (const auto parsed = parseDecimal(env, 1, max))
+        return parsed;
+    throw SimError(formatMessage(
+        "%s needs a positive integer no larger than %llu, got '%s'",
+        name, static_cast<unsigned long long>(max), env));
 }
 
 } // namespace
@@ -36,11 +44,12 @@ EnvOverrides
 EnvOverrides::capture()
 {
     EnvOverrides env;
-    if (const auto v = positiveValue("STFM_INSTRUCTIONS"))
-        env.instructionBudget = static_cast<std::uint64_t>(*v);
+    env.instructionBudget = positiveValue(
+        "STFM_INSTRUCTIONS", std::numeric_limits<std::uint64_t>::max());
     env.reference = flagSet("STFM_REFERENCE");
     env.check = flagSet("STFM_CHECK");
-    if (const auto v = positiveValue("STFM_JOBS"))
+    if (const auto v = positiveValue(
+            "STFM_JOBS", std::numeric_limits<unsigned>::max()))
         env.jobs = static_cast<unsigned>(*v);
     env.telemetry = flagSet("STFM_TELEMETRY");
     if (env.telemetry) {

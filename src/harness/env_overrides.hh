@@ -2,8 +2,8 @@
  * @file
  * The harness's environment-variable overrides, captured in one place.
  *
- * Four variables tune every harness entry point (benches, the stfm CLI,
- * tests):
+ * These variables tune every harness entry point (the stfm CLI, its
+ * figure commands, tests):
  *
  *   - STFM_INSTRUCTIONS=<n>  per-thread instruction budget;
  *   - STFM_REFERENCE=1       pin the cycle-by-cycle reference path
@@ -25,7 +25,9 @@
  * exactly which overrides took effect so a results file is
  * self-describing. "0"/empty means unset for the boolean variables,
  * matching the historical behavior of the scattered getenv() calls this
- * helper replaces.
+ * helper replaces. Empty means unset for the two counts as well; any
+ * other value must be a positive decimal integer (common/parse.hh), or
+ * capture() throws a SimError naming the variable.
  */
 
 #ifndef STFM_HARNESS_ENV_OVERRIDES_HH
@@ -60,7 +62,8 @@ struct EnvOverrides
     /** STFM_DEVICE: device spec name or path (empty = config's own). */
     std::string device;
 
-    /** Snapshot the process environment. */
+    /** Snapshot the process environment. @throws SimError when
+     *  STFM_INSTRUCTIONS or STFM_JOBS is not a positive integer. */
     static EnvOverrides capture();
 
     /** True when at least one override is active. */

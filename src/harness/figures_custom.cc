@@ -4,9 +4,8 @@
  * the declarative (workload x scheduler) experiment grid: the fig03
  * idleness schedule (hand-built staggered traces), the fig05 pairing
  * sweep, fig14's per-assignment weight tables, fig15's alpha series,
- * the calibration tables and the design-choice ablations. Bodies moved
- * verbatim from the historical bench/ binaries; bench/ keeps one thin
- * wrapper per figure.
+ * the calibration tables and the design-choice ablations. Each is
+ * reached as `stfm <name>` through the registry in figures.cc.
  */
 
 #include "harness/figures.hh"
@@ -57,7 +56,7 @@ motivationCase(unsigned cores, const Workload &workload)
 } // namespace
 
 int
-motivation(const FigureFlags &)
+motivation(bool)
 {
     std::cout << "Figure 1: memory slowdown of programs under the "
                  "thread-unaware FR-FCFS baseline\n\n";
@@ -171,7 +170,7 @@ idlenessRun(PolicyKind kind, double *alone_mcpi)
 } // namespace
 
 int
-idleness(const FigureFlags &)
+idleness(bool)
 {
     std::cout << "Figure 3: the idleness problem — one continuous "
                  "thread vs three staggered bursty threads\n\n";
@@ -245,7 +244,7 @@ writeOutcomeArtifacts(const TelemetryConfig &telemetry,
 } // namespace
 
 int
-twoCore(const FigureFlags &)
+twoCore(bool)
 {
     SimConfig base = SimConfig::baseline(2);
     base.instructionBudget = ExperimentRunner::budgetFromEnv(50000);
@@ -365,7 +364,7 @@ runWeights(ExperimentRunner &runner, const Workload &workload,
 } // namespace
 
 int
-threadWeights(const FigureFlags &)
+threadWeights(bool)
 {
     SimConfig base = SimConfig::baseline(4);
     base.instructionBudget = ExperimentRunner::budgetFromEnv(60000);
@@ -383,7 +382,7 @@ threadWeights(const FigureFlags &)
 // Figure 15 — sensitivity to the alpha threshold.
 
 int
-alphaSweep(const FigureFlags &)
+alphaSweep(bool)
 {
     SimConfig base = SimConfig::baseline(4);
     base.instructionBudget = ExperimentRunner::budgetFromEnv(60000);
@@ -446,7 +445,7 @@ characteristicsReport(ExperimentRunner &runner,
 } // namespace
 
 int
-table3Characteristics(const FigureFlags &)
+table3Characteristics(bool)
 {
     SimConfig base = SimConfig::baseline(4);
     base.instructionBudget = ExperimentRunner::budgetFromEnv(60000);
@@ -513,10 +512,10 @@ sensitivityReport(const char *dimension, const std::string &label,
 } // namespace
 
 int
-table5Sensitivity(const FigureFlags &flags)
+table5Sensitivity(bool full)
 {
     const auto workload_list =
-        sampleWorkloads(8, flags.full ? 32 : 8, /*seed=*/0x7ab1e5);
+        sampleWorkloads(8, full ? 32 : 8, /*seed=*/0x7ab1e5);
     const std::uint64_t budget =
         ExperimentRunner::budgetFromEnv(40000);
 
@@ -559,7 +558,7 @@ ablationRow(ExperimentRunner &runner, const Workload &workload,
 } // namespace
 
 int
-ablationStfm(const FigureFlags &)
+ablationStfm(bool)
 {
     SimConfig base = SimConfig::baseline(4);
     base.instructionBudget = ExperimentRunner::budgetFromEnv(60000);
@@ -628,7 +627,7 @@ controllerRow(TextTable &table, const std::string &label,
 } // namespace
 
 int
-ablationController(const FigureFlags &)
+ablationController(bool)
 {
     SimConfig base = SimConfig::baseline(4);
     base.instructionBudget = ExperimentRunner::budgetFromEnv(50000);

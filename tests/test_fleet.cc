@@ -319,6 +319,10 @@ TEST(FleetFault, MalformedPlansThrow)
     EXPECT_THROW(parseFaultPlan("crash@x"), SimError);
     EXPECT_THROW(parseFaultPlan("meteor@1"), SimError);
     EXPECT_THROW(parseFaultPlan("@3"), SimError);
+    // Once cast unchecked: 2^32 armed shard 0, and -1 wrapped.
+    EXPECT_THROW(parseFaultPlan("crash@4294967296"), SimError);
+    EXPECT_THROW(parseFaultPlan("crash@-1"), SimError);
+    EXPECT_THROW(parseFaultPlan("crash@ 1"), SimError);
 }
 
 TEST(FleetFault, ArmsOnlyOnFirstAttemptOfItsShard)

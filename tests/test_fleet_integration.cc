@@ -702,14 +702,53 @@ TEST(FleetIntegration, SignedOrOversizedCountsAreUsageErrors)
     const std::string manifest = checkpoint.path() + "/manifest.jsonl";
 
     // -1 once wrapped to 4294967295 retries; 2^32 was truncated to 0.
+    // The budget once fell back to the spec's on "abc" and "-5" and
+    // read "5000x" as 5000.
     for (const char *flag :
-         {"--retries -1", "--workers 4294967296", "--shards ''"}) {
+         {"--retries -1", "--workers 4294967296", "--shards ''",
+          "--instructions abc", "--instructions -5",
+          "--instructions 5000x", "--jobs 4294967296"}) {
         EXPECT_EQ(runCli(cli, "run " + spec.path() + " --checkpoint " +
                                   checkpoint.path() + " " + flag),
                   1)
             << flag;
         EXPECT_FALSE(fileExists(manifest)) << flag << " started a sweep";
     }
+}
+
+TEST(FleetIntegration, FigureCommandsShareTheRunFlagParser)
+{
+    const char *cli = std::getenv("STFM_CLI");
+    if (!cli || !*cli)
+        GTEST_SKIP() << "STFM_CLI is not set (run via ctest)";
+    const std::string json =
+        std::string(::testing::TempDir()) + "fleet_it_figure.json";
+    std::remove(json.c_str());
+
+    // Figures once dropped --instructions, so this was the 60k table.
+    ASSERT_EQ(runCli(cli, "fig06 --instructions 2000 --json " + json),
+              0);
+    const Json doc = Json::parse(readFile(json));
+    EXPECT_EQ(doc.at("resolvedConfig", "results")
+                  .at("instructionBudget", "resolvedConfig")
+                  .asUint("instructionBudget"),
+              2000u);
+    std::remove(json.c_str());
+
+    // A misspelt flag once ran the whole figure and exited 0.
+    EXPECT_EQ(runCli(cli, "fig06 --jsno " + json), 1);
+    EXPECT_FALSE(fileExists(json));
+
+    // A custom figure writes no results document.
+    EXPECT_EQ(runCli(cli, "fig14 --json " + json), 1);
+    EXPECT_FALSE(fileExists(json));
+
+    // --full belongs to the figures; the spec itself is fine.
+    const std::string smoke =
+        std::string(STFM_REPO_ROOT) + "/specs/smoke.json";
+    EXPECT_EQ(runCli(cli, "validate " + smoke), 0);
+    EXPECT_EQ(runCli(cli, "run " + smoke + " --full --json " + json), 1);
+    EXPECT_FALSE(fileExists(json));
 }
 
 } // namespace

@@ -168,6 +168,27 @@ TEST(Spec, EnvOverridesFoldIntoResolution)
     EXPECT_TRUE(echo.has("STFM_JOBS"));
 }
 
+TEST(Spec, MalformedEnvCountsAreErrorsNotSilentDefaults)
+{
+    EnvGuard guard;
+    // Empty means unset, as for the boolean variables.
+    setenv("STFM_INSTRUCTIONS", "", 1);
+    setenv("STFM_JOBS", "", 1);
+    EXPECT_FALSE(EnvOverrides::capture().any());
+
+    // atoll once read these as "no override" or as their digit prefix.
+    for (const char *value : {"abc", "-5", "5000x", " 7", "0"}) {
+        setenv("STFM_INSTRUCTIONS", value, 1);
+        EXPECT_THROW(EnvOverrides::capture(), SimError) << value;
+    }
+    unsetenv("STFM_INSTRUCTIONS");
+    // Once truncated to 0 by a cast to unsigned.
+    setenv("STFM_JOBS", "4294967296", 1);
+    EXPECT_THROW(EnvOverrides::capture(), SimError);
+    setenv("STFM_JOBS", "4294967295", 1);
+    EXPECT_EQ(EnvOverrides::capture().jobsOr(1), 4294967295u);
+}
+
 TEST(Spec, SpecRunMatchesHandConstructedRunBitForBit)
 {
     EnvGuard guard; // A stray STFM_INSTRUCTIONS would skew both paths.
