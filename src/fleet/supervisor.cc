@@ -615,10 +615,10 @@ class Supervisor
     /**
      * Stream one landed outcome into the fleet rollup. Folding happens
      * the moment a shard completes (or replays from the manifest), in
-     * whatever order workers finish — the report builder's merge is
-     * order-independent, so <checkpoint>/report.json comes out
-     * byte-identical to an after-the-fact `stfm report` over the
-     * merged results.
+     * whatever order workers finish — the report serializes sorted
+     * samples, so fold order cannot change a byte, and
+     * <checkpoint>/report.json equals an after-the-fact `stfm report`
+     * over the merged results apart from its `sources` list.
      */
     void
     foldOutcome(std::size_t job, const RunOutcome &outcome)

@@ -46,8 +46,8 @@ printUsage(std::ostream &os)
           "  list telemetry            the telemetry series catalog\n"
           "  list devices              built-in DRAM device presets\n"
           "  report <paths...> [flags] fold sweep artifacts (results\n"
-          "                            JSON, manifest.jsonl, telemetry)\n"
-          "                            into a stfm-report-v1 rollup\n"
+          "                            JSON, telemetry) into a\n"
+          "                            stfm-report-v1 rollup\n"
           "                            (docs/REPORTING.md)\n"
           "  <figure> [flags]          run a figure (fig09, table5, ...;\n"
           "                            see `stfm list figures`)\n"
@@ -57,10 +57,7 @@ printUsage(std::ostream &os)
           "  --out PATH        write the stfm-report-v1 JSON there\n"
           "                    (default: stdout)\n"
           "  --html PATH       also write a self-contained HTML summary\n"
-          "  --spec PATH       the spec a manifest.jsonl input was run\n"
-          "                    with (required to ingest manifests)\n"
-          "  --name NAME       report name (default: spec name, or\n"
-          "                    'fleet')\n"
+          "  --name NAME       report name (default: 'fleet')\n"
           "  --slo-unfairness X / --slo-slowdown X\n"
           "                    SLO thresholds (defaults 2.0 / 4.0)\n"
           "  --diff BASELINE   compare against a baseline report; exit\n"
@@ -78,6 +75,8 @@ printUsage(std::ostream &os)
           "  --instructions N  per-thread instruction-budget override\n"
           "  --telemetry       sample epoch telemetry (docs/METRICS.md)\n"
           "  --trace PATH      export a Chrome trace (docs/TRACING.md)\n"
+          "                    (--telemetry and --trace: of the\n"
+          "                    [custom] figures, only fig05)\n"
           "  --device NAME     run on a DRAM device preset or spec file\n"
           "                    (see `stfm list devices`)\n"
           "  --full            full-size sweep (figures only; the\n"
@@ -302,7 +301,8 @@ commandRun(int argc, char **argv)
  * `stfm <figure>`: a spec-driven figure runs its registry spec exactly
  * as `stfm run` runs a spec file. A custom figure is a plain function
  * with no results document to write and no job grid to shard, so the
- * flags that need one are usage errors.
+ * flags that need one are usage errors, and so are telemetry and
+ * tracing (flag or environment) unless the figure writes them.
  */
 int
 commandFigure(const Figure &figure, int argc, char **argv)
@@ -318,6 +318,15 @@ commandFigure(const Figure &figure, int argc, char **argv)
                        " is a custom figure: --json and the fleet "
                        "flags need a spec-driven one (see `stfm list "
                        "figures`)");
+    }
+    const EnvOverrides env = EnvOverrides::capture();
+    if (!figure.writesObsArtifacts &&
+        (env.telemetry || !env.tracePath.empty())) {
+        throw SimError("stfm " + figure.name +
+                       " is a custom figure that writes no telemetry "
+                       "or trace: --telemetry, --trace, STFM_TELEMETRY "
+                       "and STFM_TRACE need a spec-driven figure or "
+                       "fig05");
     }
     return figure.custom(full);
 }
@@ -367,10 +376,9 @@ commandReport(int argc, char **argv)
     std::vector<std::string> inputs;
     std::string out_path;
     std::string html_path;
-    std::string spec_path;
     std::string diff_path;
     std::string diff_out;
-    std::string name;
+    std::string name = "fleet";
     report::SloConfig slo;
     report::DiffOptions diff_options;
     bool quiet = false;
@@ -380,8 +388,6 @@ commandReport(int argc, char **argv)
             out_path = argv[++i];
         } else if (arg == "--html" && i + 1 < argc) {
             html_path = argv[++i];
-        } else if (arg == "--spec" && i + 1 < argc) {
-            spec_path = argv[++i];
         } else if (arg == "--name" && i + 1 < argc) {
             name = argv[++i];
         } else if (arg == "--diff" && i + 1 < argc) {
@@ -408,16 +414,6 @@ commandReport(int argc, char **argv)
                        "or directory");
     }
 
-    // Manifest inputs need the sweep's job grid; re-derive it from the
-    // spec exactly as the supervisor and workers did.
-    bool have_plan = false;
-    ExperimentPlan plan;
-    if (!spec_path.empty()) {
-        plan = planExperiment(specFromText(readFile(spec_path)));
-        have_plan = true;
-    }
-    if (name.empty())
-        name = have_plan ? plan.spec.name : "fleet";
     report::ReportBuilder builder(name, slo);
 
     std::vector<std::string> files;
@@ -442,17 +438,6 @@ commandReport(int argc, char **argv)
     }
     std::size_t ingested = 0;
     for (const std::string &file : files) {
-        if (endsWith(file, ".jsonl")) {
-            if (!have_plan) {
-                throw SimError(
-                    "report: " + file + " is a manifest checkpoint; "
-                    "pass --spec <spec.json> (the spec the sweep ran) "
-                    "so the job grid can be re-derived");
-            }
-            builder.addManifest(file, plan);
-            ++ingested;
-            continue;
-        }
         if (!endsWith(file, ".json")) {
             if (!quiet) {
                 std::fprintf(stderr, "[report] skipping %s\n",
@@ -479,8 +464,7 @@ commandReport(int argc, char **argv)
     if (ingested == 0) {
         throw SimError(
             "report: none of the given inputs carried a sweep "
-            "artifact (stfm-results-v1, stfm-telemetry-v1, or a "
-            "manifest.jsonl)");
+            "artifact (stfm-results-v1 or stfm-telemetry-v1)");
     }
 
     const Json doc = builder.toJson();

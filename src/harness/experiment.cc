@@ -324,8 +324,7 @@ runExperiment(const ExperimentSpec &spec)
     configureRunner(runner, plan);
     result.outcomes = runner.runMany(plan.jobs, spec.jobs);
 
-    // Per-scheduler aggregates in job order (failures excluded), the
-    // exact accumulation the legacy sweep performed.
+    // Per-scheduler aggregates in job order (failures excluded).
     aggregateOutcomes(result);
     return result;
 }

@@ -4,9 +4,8 @@
  * ExperimentRunner::runMany and renders the outcome as the classic
  * human-readable report and/or machine-readable JSON.
  *
- * The engine is the single execution path behind the sweep and
- * case-study drivers, the figure registry and the stfm CLI. Resolution
- * is strictly layered:
+ * The engine is the single execution path behind the figure registry
+ * and the stfm CLI. Resolution is strictly layered:
  *
  *   SimConfig::baseline(cores of the first workload)
  *     + spec "config" overrides (sim/config_io applyJson)
@@ -14,10 +13,9 @@
  *     + environment overrides (EnvOverrides)
  *     -> validateConfig() -> run.
  *
- * Job order is workload-major, repeat-mid, scheduler-minor — for
- * repeat == 1 exactly the order the legacy runSweep used, so a spec
- * reproducing a figure yields bit-identical aggregates (runMany writes
- * outcomes by job index, and GeoMean accumulation follows job order).
+ * Job order is workload-major, repeat-mid, scheduler-minor; runMany
+ * writes outcomes by job index and GeoMean accumulation follows job
+ * order, so aggregates do not depend on the pool width.
  */
 
 #ifndef STFM_HARNESS_EXPERIMENT_HH
@@ -28,11 +26,21 @@
 #include <vector>
 
 #include "harness/env_overrides.hh"
+#include "harness/runner.hh"
 #include "harness/spec.hh"
-#include "harness/sweep.hh"
+#include "stats/summary.hh"
 
 namespace stfm
 {
+
+/** Aggregates of one scheduler over an experiment's rows. */
+struct SweepResult
+{
+    std::string policyName;
+    SweepSummary summary;
+    /** Rows whose run failed under this scheduler. */
+    unsigned failures = 0;
+};
 
 /** A fully resolved + executed experiment. */
 struct ExperimentResult
@@ -130,8 +138,8 @@ void configureRunner(ExperimentRunner &runner,
 
 /**
  * (Re)compute @p result.aggregates from its outcomes, in job order
- * with failures excluded — the exact accumulation the legacy sweep
- * performed, shared by the in-process and fleet merge paths.
+ * with failures excluded, shared by the in-process and fleet merge
+ * paths.
  */
 void aggregateOutcomes(ExperimentResult &result);
 

@@ -116,7 +116,7 @@ figureRegistry()
         {"fig03", "the NFQ idleness problem, quantified", nullptr,
          figures::idleness},
         {"fig05", "2-core: mcf paired with every other benchmark",
-         nullptr, figures::twoCore},
+         nullptr, figures::twoCore, /*writesObsArtifacts=*/true},
         {"fig06", "case study I: memory-intensive 4-core workload",
          fig06Spec, nullptr},
         {"fig07", "case study II: mixed-behavior 4-core workload",

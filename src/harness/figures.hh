@@ -13,7 +13,9 @@
  *    scheduler) grid (the fig03 idleness schedule, the fig05 pairing
  *    sweep, table5's geometry grid, the ablations) — plain functions
  *    over the runner. They print a report only, so `--json` and the
- *    fleet flags are usage errors for them.
+ *    fleet flags are usage errors for them, and so are `--telemetry`
+ *    and `--trace` unless the figure writes per-run artifacts itself
+ *    (fig05).
  *
  * Both kinds take `--full` (or STFM_FULL_SWEEP) for full-size sweeps;
  * harness/cli.cc parses the flags.
@@ -40,6 +42,9 @@ struct Figure
     /** Custom harness (argument: full-size sweep); null for
      *  spec-driven figures. Prints its report, returns an exit code. */
     int (*custom)(bool full) = nullptr;
+    /** Custom figures only: the harness writes the per-run telemetry
+     *  and trace artifacts the environment asks for. */
+    bool writesObsArtifacts = false;
 
     bool specDriven() const { return spec != nullptr; }
 };

@@ -4,13 +4,10 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "common/logging.hh"
-#include "fleet/manifest.hh"
-#include "fleet/supervisor.hh"
-#include "fleet/wire.hh"
-#include "harness/experiment.hh"
 #include "harness/runner.hh"
 #include "obs/telemetry.hh"
 
@@ -76,13 +73,13 @@ ReportBuilder::addRun(Group &group, const std::string &workload,
         ++ws.failed;
         return;
     }
-    group.unfairness.add(unfairness);
-    ws.unfairness.add(unfairness);
-    group.weightedSpeedup.add(weighted_speedup);
+    group.unfairness.push_back(unfairness);
+    ws.unfairness.push_back(unfairness);
+    group.weightedSpeedup.push_back(weighted_speedup);
     if (unfairness > slo_.unfairness)
         ++group.sloUnfairness;
     for (const double slowdown : slowdowns) {
-        group.slowdown.add(slowdown);
+        group.slowdown.push_back(slowdown);
         if (slowdown > slo_.slowdown)
             ++group.sloSlowdown;
     }
@@ -154,80 +151,6 @@ ReportBuilder::addResultsDoc(const Json &doc,
         ++folded;
     }
     noteSource(source_path, "results", folded);
-    return folded;
-}
-
-std::uint64_t
-ReportBuilder::addManifest(const std::string &path,
-                           const ExperimentPlan &plan)
-{
-    fleet::ManifestData data = fleet::loadManifest(path);
-    if (data.header.type() == Json::Type::Null)
-        throw SimError("report: manifest not found: " + path);
-    const std::string context = "manifest " + path;
-    const std::uint64_t jobs =
-        data.header.at("jobs", context).asUint(context + ".jobs");
-    if (jobs != plan.jobs.size()) {
-        throw SimError(formatMessage(
-            "report: %s records %llu jobs but the spec derives %zu — "
-            "pass the spec the sweep actually ran",
-            path.c_str(), static_cast<unsigned long long>(jobs),
-            plan.jobs.size()));
-    }
-    const std::uint64_t shards =
-        data.header.at("shards", context).asUint(context + ".shards");
-    const auto ranges = fleet::partitionShards(
-        plan.jobs.size(), plan.jobsPerRow(),
-        static_cast<unsigned>(shards));
-    if (ranges.size() != shards) {
-        throw SimError(formatMessage(
-            "report: %s: cannot re-derive %llu shard ranges",
-            path.c_str(), static_cast<unsigned long long>(shards)));
-    }
-
-    const std::size_t per = plan.jobsPerRow();
-    std::uint64_t folded = 0;
-    for (const auto &[index, entry] : data.shards) {
-        if (index >= ranges.size()) {
-            throw SimError(formatMessage(
-                "report: %s: shard %u out of range", path.c_str(),
-                index));
-        }
-        const auto [begin, end] = ranges[index];
-        const std::string sc =
-            context + " shard " + std::to_string(index);
-        const auto &outcomes =
-            entry.at("outcomes", sc).asArray(sc + ".outcomes");
-        if (outcomes.size() != end - begin) {
-            throw SimError(formatMessage(
-                "report: %s: shard %u carries %zu outcomes for a "
-                "%zu-job range",
-                path.c_str(), index, outcomes.size(), end - begin));
-        }
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-            const std::size_t job = begin + i;
-            const std::size_t s = job % per;
-            const std::size_t row = job / per;
-            const SchedulerEntry &sched = plan.schedulers[s];
-            const RunOutcome outcome =
-                fleet::runOutcomeFromWire(outcomes[i], sc);
-            Group &group = groupFor(
-                stripDeviceSuffix(sched.label, sched.device),
-                sched.device, static_cast<int>(s));
-            const std::string workload = workloadLabel(
-                plan.workloads[row / plan.spec.repeat]);
-            if (outcome.failed) {
-                addRun(group, workload, true, 0.0, {}, 0.0);
-            } else {
-                addRun(group, workload, false,
-                       outcome.metrics.unfairness,
-                       outcome.metrics.slowdowns,
-                       outcome.metrics.weightedSpeedup);
-            }
-            ++folded;
-        }
-    }
-    noteSource(path, "manifest", folded);
     return folded;
 }
 
@@ -356,10 +279,10 @@ ReportBuilder::toJson() const
             w.set("label", label);
             w.set("runs", ws.runs);
             w.set("failed", ws.failed);
+            const Json dist = distributionJson(ws.unfairness);
             Json u = Json::object();
-            u.set("count", ws.unfairness.count());
-            u.set("mean", ws.unfairness.mean());
-            u.set("max", ws.unfairness.max());
+            for (const char *field : {"count", "mean", "max"})
+                u.set(field, dist.at(field, "distribution"));
             w.set("unfairness", std::move(u));
             wl.push(std::move(w));
         }
@@ -377,21 +300,36 @@ ReportBuilder::toJson() const
 }
 
 Json
-distributionJson(const MetricSketch &sketch)
+distributionJson(std::vector<double> samples)
 {
+    std::sort(samples.begin(), samples.end());
+    const std::size_t count = samples.size();
+    // Nearest rank: the value of rank ceil(p * count), 1-based.
+    const auto quantile = [&](double p) {
+        if (count == 0)
+            return 0.0;
+        const std::size_t rank = std::max<std::size_t>(
+            1, static_cast<std::size_t>(
+                   std::ceil(p * static_cast<double>(count))));
+        return samples[rank - 1];
+    };
+    // Summed in ascending order, so fold order cannot move the mean.
+    double sum = 0.0;
+    for (const double value : samples)
+        sum += value;
+
     Json out = Json::object();
-    out.set("count", sketch.count());
-    out.set("min", sketch.min());
-    out.set("max", sketch.max());
-    out.set("mean", sketch.mean());
-    out.set("p50", sketch.quantile(0.5));
-    out.set("p95", sketch.quantile(0.95));
-    out.set("p99", sketch.quantile(0.99));
-    const Json payload = sketch.toJson();
-    if (const Json *samples = payload.find("samples"))
-        out.set("samples", *samples);
-    else
-        out.set("buckets", *payload.find("buckets"));
+    out.set("count", count);
+    out.set("min", count ? samples.front() : 0.0);
+    out.set("max", count ? samples.back() : 0.0);
+    out.set("mean", count ? sum / static_cast<double>(count) : 0.0);
+    out.set("p50", quantile(0.5));
+    out.set("p95", quantile(0.95));
+    out.set("p99", quantile(0.99));
+    Json values = Json::array();
+    for (const double value : samples)
+        values.push(Json(value));
+    out.set("samples", std::move(values));
     return out;
 }
 

@@ -1,17 +1,16 @@
 /**
  * @file
  * The fleet rollup builder: folds per-run artifacts — stfm-results-v1
- * documents, manifest.jsonl shard checkpoints, stfm-telemetry-v1
- * samples — into one fleet-level `stfm-report-v1` document
- * (docs/REPORTING.md is the schema contract).
+ * documents and stfm-telemetry-v1 samples — into one fleet-level
+ * `stfm-report-v1` document (docs/REPORTING.md is the schema contract).
  *
- * Folding is streaming and order-independent: every distribution is a
- * MetricSketch (report/quantile.hh), whose merge is associative and
- * commutative, and all serialization orders are canonical (groups by
- * plan order then key, workloads by label, sketch samples sorted).
- * The fleet supervisor folds shard outcomes the moment they complete,
- * in whatever order workers finish, and still writes the exact bytes
- * an after-the-fact `stfm report` over the merged results produces.
+ * Folding is streaming and order-independent: every distribution keeps
+ * its raw samples and is serialized sorted, and all serialization
+ * orders are canonical (groups by plan order then key, workloads by
+ * label). The fleet supervisor folds shard outcomes the moment they
+ * complete, in whatever order workers finish, and still writes the
+ * document an after-the-fact `stfm report` over the merged results
+ * produces, apart from the `sources` provenance list.
  *
  * Grouping: one group per (scheduler, device) pair. Failed runs are
  * counted per group and per workload but excluded from the metric
@@ -31,14 +30,12 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "report/quantile.hh"
 #include "stats/histogram.hh"
 
 namespace stfm
 {
 
 struct RunOutcome;
-struct ExperimentPlan;
 
 namespace report
 {
@@ -78,16 +75,6 @@ class ReportBuilder
                                 const std::string &source_path);
 
     /**
-     * Fold the completed shards of a manifest.jsonl checkpoint,
-     * labeling outcomes by re-deriving the job grid from @p plan (the
-     * same planExperiment() the sweep used). Returns the runs folded.
-     * @throws SimError on unreadable contents or a plan whose job
-     * count disagrees with the manifest header.
-     */
-    std::uint64_t addManifest(const std::string &path,
-                              const ExperimentPlan &plan);
-
-    /**
      * Merge a stfm-telemetry-v1 document's read-latency histograms
      * into the fleet-level latency distribution. Documents without
      * histograms fold as a no-op. @throws SimError on malformed input.
@@ -110,7 +97,7 @@ class ReportBuilder
     {
         std::uint64_t runs = 0;
         std::uint64_t failed = 0;
-        MetricSketch unfairness;
+        std::vector<double> unfairness;
     };
 
     struct Group
@@ -120,9 +107,9 @@ class ReportBuilder
         std::uint64_t failed = 0;
         std::uint64_t sloUnfairness = 0;
         std::uint64_t sloSlowdown = 0;
-        MetricSketch unfairness;
-        MetricSketch slowdown;
-        MetricSketch weightedSpeedup;
+        std::vector<double> unfairness;
+        std::vector<double> slowdown;
+        std::vector<double> weightedSpeedup;
         std::map<std::string, WorkloadStats> workloads;
     };
 
@@ -153,11 +140,14 @@ class ReportBuilder
 };
 
 /**
- * Serialize one distribution block: MetricSketch stats (count, min,
- * max, mean, p50, p95, p99) plus the sketch payload ("samples" or
- * "buckets") that keeps the block mergeable downstream.
+ * Serialize one distribution block: count, min, max, mean, p50, p95,
+ * p99 and the ascending raw "samples". Every field is a pure function
+ * of the sample multiset: the mean is summed in ascending order, and
+ * each percentile is the nearest-rank statistic — the value of rank
+ * ceil(p * count), 1-based, in ascending order. An empty distribution
+ * reads 0 throughout.
  */
-Json distributionJson(const MetricSketch &sketch);
+Json distributionJson(std::vector<double> samples);
 
 // Input discovery ----------------------------------------------------
 

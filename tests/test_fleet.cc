@@ -795,8 +795,9 @@ TEST(FleetTelemetry, CountersTrackTheStatsStruct)
     registerFleetTelemetry(registry, stats);
     stats.shardsCompleted = 7;
     for (const TelemetrySeries &series : registry.series()) {
-        if (series.name == "fleet.shards.completed")
+        if (series.name == "fleet.shards.completed") {
             EXPECT_DOUBLE_EQ(series.sample(), 7.0);
+        }
     }
 }
 

@@ -26,6 +26,7 @@
 #include "fleet/supervisor.hh"
 #include "harness/experiment.hh"
 #include "harness/spec.hh"
+#include "report/rollup.hh"
 
 namespace stfm
 {
@@ -249,6 +250,33 @@ TEST(FleetIntegration, CheckpointedRunWritesReportArtifacts)
     EXPECT_NE(html_text.str().find("<!DOCTYPE html>"),
               std::string::npos);
     EXPECT_NE(html_text.str().find("<svg"), std::string::npos);
+
+    // The streamed rollup is the after-the-fact rollup of the merged
+    // results document; only the provenance list differs.
+    report::ReportBuilder builder(spec.name);
+    builder.addResultsDoc(resultsJson(outcome.result), "results.json");
+    const auto withoutSources = [](Json doc) {
+        doc.set("sources", Json());
+        return Json::parse(doc.dump()).dump();
+    };
+    EXPECT_EQ(withoutSources(report), withoutSources(builder.toJson()));
+
+    // A checkpoint that lost its report gets it back from a resume,
+    // byte for byte, without simulating or appending anything.
+    const std::string json_path = checkpoint.path() + "/report.json";
+    const std::string html_path = checkpoint.path() + "/report.html";
+    const std::string manifest_path =
+        checkpoint.path() + "/manifest.jsonl";
+    const std::string manifest = readFile(manifest_path);
+    std::remove(json_path.c_str());
+    std::remove(html_path.c_str());
+    FleetOptions resume = options;
+    resume.resume = true;
+    const FleetOutcome again = runShardedExperiment(spec, resume);
+    EXPECT_EQ(again.stats.shardsCompleted, 0u);
+    EXPECT_EQ(readFile(json_path), json_text.str());
+    EXPECT_EQ(readFile(html_path), html_text.str());
+    EXPECT_EQ(readFile(manifest_path), manifest);
 }
 
 TEST(FleetIntegration, CrashIsRetriedToAnIdenticalResult)
@@ -657,6 +685,17 @@ TEST(FleetIntegration, ReportCliRejectsUselessInputs)
             .c_str());
     ASSERT_TRUE(WIFEXITED(missingRc));
     EXPECT_EQ(WEXITSTATUS(missingRc), 1);
+
+    // A checkpoint manifest is not a report input (its rollup is the
+    // checkpoint's report.json), and --spec is no report flag.
+    TempFile manifest("fleet_it_report_manifest.jsonl",
+                      "{\"schema\": \"stfm-manifest-v1\"}\n");
+    EXPECT_EQ(runCli(cli, "report " + manifest.path()), 1);
+    TempFile results("fleet_it_report_results.json",
+                     resultsJson(runExperiment(specFromText(kSpecText)))
+                         .dump());
+    EXPECT_EQ(runCli(cli, "report " + results.path()), 0);
+    EXPECT_EQ(runCli(cli, "report " + results.path() + " --spec x"), 1);
 }
 
 TEST(FleetIntegration, NonFiniteOrHugeNumbersAreUsageErrors)
@@ -742,6 +781,24 @@ TEST(FleetIntegration, FigureCommandsShareTheRunFlagParser)
     // A custom figure writes no results document.
     EXPECT_EQ(runCli(cli, "fig14 --json " + json), 1);
     EXPECT_FALSE(fileExists(json));
+
+    // Nor, fig05 aside, telemetry or traces: asking for them is an
+    // error rather than a run that silently writes nothing.
+    const std::string trace =
+        std::string(::testing::TempDir()) + "fleet_it_figure_trace.json";
+    std::remove(trace.c_str());
+    EXPECT_EQ(runCli(cli, "fig14 --trace " + trace), 1);
+    EXPECT_FALSE(fileExists(trace));
+    EXPECT_EQ(runCli(cli, "fig03 --telemetry"), 1);
+    TempDir traces("fleet_it_fig05_traces");
+    ASSERT_EQ(runCli(cli, "fig05 --instructions 2000 --trace " +
+                              traces.path() + "/t.json"),
+              0);
+    const std::string one = traces.path() + "/t.mcf-hmmer.STFM.json";
+    EXPECT_EQ(Json::parse(readFile(one)).type(), Json::Type::Object);
+    EXPECT_EQ(std::system(("rm -f " + traces.path() + "/t.*.json")
+                              .c_str()),
+              0);
 
     // --full belongs to the figures; the spec itself is fine.
     const std::string smoke =

@@ -18,7 +18,7 @@
 
 #include "check/auditor.hh"
 #include "check/integrity.hh"
-#include "harness/sweep.hh"
+#include "harness/experiment.hh"
 #include "sim/system.hh"
 #include "trace/generator.hh"
 
@@ -242,10 +242,16 @@ TEST(HarnessDegradation, SweepCompletesAroundAFailingWorkload)
         {"gcc", "no-such-benchmark"},
         {"namd", "tonto"},
     };
-    std::ostringstream os;
-    const std::vector<SweepResult> results =
-        runSweep("Degradation sweep", workload_list, 3, 3000, os);
+    ExperimentSpec spec;
+    spec.name = spec.title = "Degradation sweep";
+    spec.workloads = workload_list;
+    spec.budget = 3000;
+    spec.labelRows = 3;
+    const ExperimentResult result = runExperiment(spec);
     unsetenv("STFM_INSTRUCTIONS");
+    std::ostringstream os;
+    printExperiment(result, os, ReportStyle::Sweep);
+    const std::vector<SweepResult> &results = result.aggregates;
 
     ASSERT_EQ(results.size(), 5u);
     for (const SweepResult &r : results) {

@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests for the fleet reporting tier (src/report/): the MetricSketch
- * quantile structure against a sorted-vector oracle, merge
- * associativity across the exact->bucketed collapse, the ReportBuilder
- * rollup semantics (grouping, SLO counting, order independence), the
+ * Tests for the fleet reporting tier (src/report/): distribution
+ * blocks against a sorted-vector oracle, the ReportBuilder rollup
+ * semantics (grouping, SLO counting, order independence), the
  * regression diff gate, and the HTML renderer.
  */
 
@@ -19,7 +18,6 @@
 #include "obs/telemetry.hh"
 #include "report/diff.hh"
 #include "report/html.hh"
-#include "report/quantile.hh"
 #include "report/rollup.hh"
 
 namespace stfm
@@ -31,8 +29,7 @@ namespace
 
 /** Nearest-rank quantile against a raw sample vector: the value at
  *  rank ceil(p * n), 1-based, ascending — the stfm-report-v1
- *  percentile definition MetricSketch must match exactly while in the
- *  exact phase. */
+ *  percentile definition distributionJson must match exactly. */
 double
 oracleQuantile(std::vector<double> values, double p)
 {
@@ -46,32 +43,30 @@ oracleQuantile(std::vector<double> values, double p)
     return values[rank - 1];
 }
 
-// MetricSketch ------------------------------------------------------
+double
+field(const Json &dist, const char *name)
+{
+    return dist.at(name, "distribution").asDouble(name);
+}
+
+// Distribution blocks (distributionJson) ----------------------------
 
 TEST(MetricSketch, EmptyIsZero)
 {
-    MetricSketch s;
-    EXPECT_TRUE(s.empty());
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.min(), 0.0);
-    EXPECT_DOUBLE_EQ(s.max(), 0.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.quantile(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(s.quantile(0.99), 0.0);
-    EXPECT_FALSE(s.bucketed());
+    const Json d = distributionJson({});
+    EXPECT_EQ(d.at("count", "distribution").asUint(), 0u);
+    for (const char *name : {"min", "max", "mean", "p50", "p95", "p99"})
+        EXPECT_DOUBLE_EQ(field(d, name), 0.0) << name;
+    EXPECT_EQ(d.at("samples", "distribution").size(), 0u);
 }
 
 TEST(MetricSketch, SingleSample)
 {
-    MetricSketch s;
-    s.add(1.37);
-    EXPECT_EQ(s.count(), 1u);
-    EXPECT_DOUBLE_EQ(s.min(), 1.37);
-    EXPECT_DOUBLE_EQ(s.max(), 1.37);
-    EXPECT_DOUBLE_EQ(s.mean(), 1.37);
-    // Every percentile of one sample is that sample.
-    for (const double p : {0.01, 0.5, 0.95, 0.99, 1.0})
-        EXPECT_DOUBLE_EQ(s.quantile(p), 1.37);
+    const Json d = distributionJson({1.37});
+    EXPECT_EQ(d.at("count", "distribution").asUint(), 1u);
+    // Every statistic of one sample is that sample.
+    for (const char *name : {"min", "max", "mean", "p50", "p95", "p99"})
+        EXPECT_DOUBLE_EQ(field(d, name), 1.37) << name;
 }
 
 TEST(MetricSketch, ExactQuantilesMatchSortedOracle)
@@ -79,166 +74,32 @@ TEST(MetricSketch, ExactQuantilesMatchSortedOracle)
     std::mt19937 rng(20070712); // MICRO 2007 submission-ish seed.
     std::lognormal_distribution<double> dist(0.3, 0.6);
     std::vector<double> values;
-    MetricSketch s;
     for (int i = 0; i < 1000; ++i)
-    {
-        const double v = dist(rng);
-        values.push_back(v);
-        s.add(v);
-    }
-    ASSERT_FALSE(s.bucketed());
-    for (const double p : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0})
-        EXPECT_DOUBLE_EQ(s.quantile(p), oracleQuantile(values, p))
-            << "p=" << p;
-    EXPECT_DOUBLE_EQ(s.min(), *std::min_element(values.begin(), values.end()));
-    EXPECT_DOUBLE_EQ(s.max(), *std::max_element(values.begin(), values.end()));
-}
-
-TEST(MetricSketch, MergeIsAssociativeAndCommutativeExactPhase)
-{
-    std::mt19937 rng(7);
-    std::uniform_real_distribution<double> dist(0.5, 8.0);
-    MetricSketch a, b, c;
-    for (int i = 0; i < 300; ++i)
-        a.add(dist(rng));
-    for (int i = 0; i < 200; ++i)
-        b.add(dist(rng));
-    for (int i = 0; i < 100; ++i)
-        c.add(dist(rng));
-
-    MetricSketch ab_c = a; // (a+b)+c
-    ab_c.merge(b);
-    ab_c.merge(c);
-    MetricSketch bc = b; // a+(b+c)
-    bc.merge(c);
-    MetricSketch a_bc = a;
-    a_bc.merge(bc);
-    MetricSketch cba = c; // reversed order
-    cba.merge(b);
-    cba.merge(a);
-
-    EXPECT_TRUE(ab_c == a_bc);
-    EXPECT_TRUE(ab_c == cba);
-    EXPECT_EQ(ab_c.toJson().dump(), cba.toJson().dump());
-    EXPECT_EQ(ab_c.count(), 600u);
-    EXPECT_FALSE(ab_c.bucketed());
-}
-
-TEST(MetricSketch, MergeOrderIndependentAcrossCollapseBoundary)
-{
-    // Three parts whose total (3 * 2000) exceeds kExactCap, so the
-    // fold collapses into log buckets partway through. Every fold
-    // order must still land in identical state — the collapse fires
-    // iff count exceeds the cap and bucketing is per-sample
-    // deterministic.
-    std::mt19937 rng(42);
-    std::lognormal_distribution<double> dist(0.0, 1.0);
-    std::vector<MetricSketch> parts(3);
-    for (auto &part : parts)
-        for (int i = 0; i < 2000; ++i)
-            part.add(dist(rng));
-
-    MetricSketch forward = parts[0];
-    forward.merge(parts[1]);
-    forward.merge(parts[2]);
-    MetricSketch backward = parts[2];
-    backward.merge(parts[1]);
-    backward.merge(parts[0]);
-    MetricSketch nested = parts[1];
-    {
-        MetricSketch rest = parts[2];
-        rest.merge(parts[0]);
-        nested.merge(rest);
-    }
-
-    EXPECT_TRUE(forward.bucketed());
-    EXPECT_TRUE(forward == backward);
-    EXPECT_TRUE(forward == nested);
-    EXPECT_EQ(forward.toJson().dump(), backward.toJson().dump());
-    EXPECT_EQ(forward.count(), 6000u);
-}
-
-TEST(MetricSketch, BucketedQuantilesTrackOracleWithinResolution)
-{
-    // Past the collapse the sketch answers from geometric bucket
-    // midpoints: kBucketsPerDecade = 256 gives ~0.9 % relative
-    // resolution. Allow 1 % slack either way against the oracle.
-    std::mt19937 rng(1234);
-    std::lognormal_distribution<double> dist(0.5, 0.8);
-    std::vector<double> values;
-    MetricSketch s;
-    for (int i = 0; i < 20000; ++i)
-    {
-        const double v = dist(rng);
-        values.push_back(v);
-        s.add(v);
-    }
-    ASSERT_TRUE(s.bucketed());
-    for (const double p : {0.5, 0.9, 0.95, 0.99})
-    {
-        const double oracle = oracleQuantile(values, p);
-        EXPECT_NEAR(s.quantile(p), oracle, oracle * 0.01) << "p=" << p;
-    }
-    // min/max stay exact regardless of phase.
-    EXPECT_DOUBLE_EQ(s.min(), *std::min_element(values.begin(), values.end()));
-    EXPECT_DOUBLE_EQ(s.max(), *std::max_element(values.begin(), values.end()));
-}
-
-TEST(MetricSketch, MergeWithEmptyIsIdentity)
-{
-    MetricSketch s;
-    s.add(2.0);
-    s.add(3.0);
-    MetricSketch empty;
-
-    MetricSketch left = s;
-    left.merge(empty);
-    MetricSketch right = empty;
-    right.merge(s);
-    EXPECT_TRUE(left == s);
-    EXPECT_TRUE(right == s);
-
-    MetricSketch both = empty;
-    both.merge(MetricSketch{});
-    EXPECT_TRUE(both.empty());
-}
-
-TEST(MetricSketch, JsonRoundTripExactAndBucketed)
-{
-    std::mt19937 rng(99);
-    std::uniform_real_distribution<double> dist(0.25, 16.0);
-
-    MetricSketch exact;
-    for (int i = 0; i < 64; ++i)
-        exact.add(dist(rng));
-    const MetricSketch exact2 =
-        MetricSketch::fromJson(exact.toJson(), "test");
-    EXPECT_TRUE(exact == exact2);
-    EXPECT_EQ(exact.toJson().dump(), exact2.toJson().dump());
-
-    MetricSketch bucketed;
-    for (std::size_t i = 0; i < MetricSketch::kExactCap + 10; ++i)
-        bucketed.add(dist(rng));
-    ASSERT_TRUE(bucketed.bucketed());
-    const MetricSketch bucketed2 =
-        MetricSketch::fromJson(bucketed.toJson(), "test");
-    EXPECT_TRUE(bucketed == bucketed2);
-
-    EXPECT_THROW(MetricSketch::fromJson(Json::parse("[1,2]"), "test"),
-                 SimError);
-    EXPECT_THROW(MetricSketch::fromJson(Json::parse("{\"count\": 3}"),
-                                        "test"),
-                 SimError);
+        values.push_back(dist(rng));
+    const Json d = distributionJson(values);
+    EXPECT_EQ(d.at("count", "distribution").asUint(), 1000u);
+    EXPECT_DOUBLE_EQ(field(d, "p50"), oracleQuantile(values, 0.5));
+    EXPECT_DOUBLE_EQ(field(d, "p95"), oracleQuantile(values, 0.95));
+    EXPECT_DOUBLE_EQ(field(d, "p99"), oracleQuantile(values, 0.99));
+    EXPECT_DOUBLE_EQ(field(d, "min"),
+                     *std::min_element(values.begin(), values.end()));
+    EXPECT_DOUBLE_EQ(field(d, "max"),
+                     *std::max_element(values.begin(), values.end()));
+    // The mean is summed in ascending order, whatever the fold order.
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    double sum = 0.0;
+    for (const double v : sorted)
+        sum += v;
+    EXPECT_EQ(field(d, "mean"), sum / 1000.0);
+    std::reverse(values.begin(), values.end());
+    EXPECT_EQ(distributionJson(values).dump(), d.dump());
 }
 
 TEST(MetricSketch, SerializationIsCanonicallySorted)
 {
-    MetricSketch s;
-    s.add(5.0);
-    s.add(1.0);
-    s.add(3.0);
-    const Json doc = s.toJson();
-    const Json &samples = doc.at("samples", "sketch");
+    const Json d = distributionJson({5.0, 1.0, 3.0});
+    const Json &samples = d.at("samples", "distribution");
     ASSERT_EQ(samples.size(), 3u);
     EXPECT_DOUBLE_EQ(samples.at(std::size_t{0}).asDouble(), 1.0);
     EXPECT_DOUBLE_EQ(samples.at(std::size_t{1}).asDouble(), 3.0);
