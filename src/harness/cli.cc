@@ -75,8 +75,8 @@ printUsage(std::ostream &os)
           "  --instructions N  per-thread instruction-budget override\n"
           "  --telemetry       sample epoch telemetry (docs/METRICS.md)\n"
           "  --trace PATH      export a Chrome trace (docs/TRACING.md)\n"
-          "                    (--telemetry and --trace: of the\n"
-          "                    [custom] figures, only fig05)\n"
+          "                    (--telemetry and --trace: not for\n"
+          "                    [custom] figures)\n"
           "  --device NAME     run on a DRAM device preset or spec file\n"
           "                    (see `stfm list devices`)\n"
           "  --full            full-size sweep (figures only; the\n"
@@ -244,9 +244,13 @@ parseRunFlags(const std::string &command, int argc, char **argv,
 }
 
 int
-finishRun(const ExperimentResult &result, const RunFlags &flags)
+finishRun(const ExperimentResult &result, const RunFlags &flags,
+          Figure::Renderer report)
 {
-    printExperiment(result);
+    if (report)
+        report(result, std::cout);
+    else
+        printExperiment(result);
     if (!flags.jsonPath.empty()) {
         writeResultsJson(result, flags.jsonPath);
         std::cout << "\nresults written to " << flags.jsonPath << "\n";
@@ -258,11 +262,12 @@ finishRun(const ExperimentResult &result, const RunFlags &flags)
 
 /** Execute @p spec in process or, given a fleet flag, sharded. */
 int
-runSpec(const ExperimentSpec &spec, const RunFlags &flags)
+runSpec(const ExperimentSpec &spec, const RunFlags &flags,
+        Figure::Renderer report = nullptr)
 {
     if (!flags.fleetMode) {
         const ExperimentResult result = runExperiment(spec);
-        return finishRun(result, flags);
+        return finishRun(result, flags, report);
     }
 
     const fleet::FleetOutcome outcome =
@@ -276,7 +281,7 @@ runSpec(const ExperimentSpec &spec, const RunFlags &flags)
                   << "\n";
         return 130;
     }
-    const int code = finishRun(outcome.result, flags);
+    const int code = finishRun(outcome.result, flags, report);
     if (outcome.anyFailed()) {
         std::cerr << "stfm run: " << outcome.failedShards.size()
                   << " shard(s) FAILED after retries; their rows are "
@@ -299,10 +304,11 @@ commandRun(int argc, char **argv)
 
 /**
  * `stfm <figure>`: a spec-driven figure runs its registry spec exactly
- * as `stfm run` runs a spec file. A custom figure is a plain function
- * with no results document to write and no job grid to shard, so the
+ * as `stfm run` runs a spec file, printing its own report if it names
+ * one. A custom figure is a plain function with no results document
+ * to write, no job grid to shard and no per-run artifacts, so the
  * flags that need one are usage errors, and so are telemetry and
- * tracing (flag or environment) unless the figure writes them.
+ * tracing (flag or environment).
  */
 int
 commandFigure(const Figure &figure, int argc, char **argv)
@@ -312,7 +318,7 @@ commandFigure(const Figure &figure, int argc, char **argv)
     const bool full =
         flags.full || std::getenv("STFM_FULL_SWEEP") != nullptr;
     if (figure.specDriven())
-        return runSpec(figure.spec(full), flags);
+        return runSpec(figure.spec(full), flags, figure.report);
     if (!flags.jsonPath.empty() || flags.fleetMode) {
         throw SimError("stfm " + figure.name +
                        " is a custom figure: --json and the fleet "
@@ -320,13 +326,11 @@ commandFigure(const Figure &figure, int argc, char **argv)
                        "figures`)");
     }
     const EnvOverrides env = EnvOverrides::capture();
-    if (!figure.writesObsArtifacts &&
-        (env.telemetry || !env.tracePath.empty())) {
+    if (env.telemetry || !env.tracePath.empty()) {
         throw SimError("stfm " + figure.name +
                        " is a custom figure that writes no telemetry "
                        "or trace: --telemetry, --trace, STFM_TELEMETRY "
-                       "and STFM_TRACE need a spec-driven figure or "
-                       "fig05");
+                       "and STFM_TRACE need a spec-driven one");
     }
     return figure.custom(full);
 }

@@ -6,16 +6,18 @@
  *
  * Two kinds of figures:
  *  - spec-driven: the figure is a named ExperimentSpec (workloads x
- *    the five paper schedulers) that `stfm <name>` runs exactly as
- *    `stfm run` runs a spec file, with the same flags (`--json`, the
- *    fleet flags, ...);
+ *    labelled scheduler entries, the five paper schedulers by default)
+ *    that `stfm <name>` runs exactly as `stfm run` runs a spec file,
+ *    with the same flags (`--json`, the fleet flags, `--telemetry`,
+ *    `--trace`, ...). Most print the generic report; a figure with
+ *    figure-specific columns (fig05, fig14) names its own renderer
+ *    over the same ExperimentResult;
  *  - custom: figures whose harness does not fit the (workload x
- *    scheduler) grid (the fig03 idleness schedule, the fig05 pairing
- *    sweep, table5's geometry grid, the ablations) — plain functions
- *    over the runner. They print a report only, so `--json` and the
- *    fleet flags are usage errors for them, and so are `--telemetry`
- *    and `--trace` unless the figure writes per-run artifacts itself
- *    (fig05).
+ *    scheduler) grid (fig01's two core counts, the fig03 idleness
+ *    schedule, the alone-run tables, table5's geometry grid, the
+ *    controller ablations) — plain functions over the runner. They
+ *    print a report only, so `--json`, the fleet flags, `--telemetry`
+ *    and `--trace` are usage errors for them.
  *
  * Both kinds take `--full` (or STFM_FULL_SWEEP) for full-size sweeps;
  * harness/cli.cc parses the flags.
@@ -24,6 +26,7 @@
 #ifndef STFM_HARNESS_FIGURES_HH
 #define STFM_HARNESS_FIGURES_HH
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -31,6 +34,8 @@
 
 namespace stfm
 {
+
+struct ExperimentResult;
 
 /** One registered figure. */
 struct Figure
@@ -42,9 +47,10 @@ struct Figure
     /** Custom harness (argument: full-size sweep); null for
      *  spec-driven figures. Prints its report, returns an exit code. */
     int (*custom)(bool full) = nullptr;
-    /** Custom figures only: the harness writes the per-run telemetry
-     *  and trace artifacts the environment asks for. */
-    bool writesObsArtifacts = false;
+    /** Spec-driven figures only: renders the report in place of
+     *  printExperiment; null prints the generic report. */
+    using Renderer = void (*)(const ExperimentResult &, std::ostream &);
+    Renderer report = nullptr;
 
     bool specDriven() const { return spec != nullptr; }
 };
@@ -61,12 +67,8 @@ namespace figures
 
 int motivation(bool full);            ///< Figure 1.
 int idleness(bool full);              ///< Figure 3.
-int twoCore(bool full);               ///< Figure 5.
-int threadWeights(bool full);         ///< Figure 14.
-int alphaSweep(bool full);            ///< Figure 15.
 int table3Characteristics(bool full); ///< Tables 3 and 4.
 int table5Sensitivity(bool full);     ///< Table 5.
-int ablationStfm(bool full);
 int ablationController(bool full);
 
 } // namespace figures

@@ -1,11 +1,11 @@
 /**
  * @file
  * The custom figure harnesses — figures whose structure does not fit
- * the declarative (workload x scheduler) experiment grid: the fig03
- * idleness schedule (hand-built staggered traces), the fig05 pairing
- * sweep, fig14's per-assignment weight tables, fig15's alpha series,
- * the calibration tables and the design-choice ablations. Each is
- * reached as `stfm <name>` through the registry in figures.cc.
+ * the declarative (workload x scheduler) experiment grid: fig01's two
+ * core counts, the fig03 idleness schedule (hand-built staggered
+ * traces), the alone-run calibration tables, table5's geometry grid
+ * and the controller ablations. Each is reached as `stfm <name>`
+ * through the registry in figures.cc.
  */
 
 #include "harness/figures.hh"
@@ -14,6 +14,7 @@
 #include <iostream>
 #include <memory>
 
+#include "harness/env_overrides.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 #include "sim/system.hh"
@@ -36,7 +37,7 @@ void
 motivationCase(unsigned cores, const Workload &workload)
 {
     SimConfig base = SimConfig::baseline(cores);
-    base.instructionBudget = ExperimentRunner::budgetFromEnv(60000);
+    base.instructionBudget = 60000;
     ExperimentRunner runner(base);
 
     SchedulerConfig fr_fcfs; // Default-constructed = FR-FCFS.
@@ -132,6 +133,9 @@ idlenessRun(PolicyKind kind, double *alone_mcpi)
     SimConfig config = SimConfig::baseline(4);
     config.instructionBudget = 40000;
     config.scheduler.kind = kind;
+    // The run flags (--instructions, --device, --check, --reference)
+    // reach this harness only through the environment.
+    EnvOverrides::capture().apply(config);
     AddressMapping mapping(config.memory.channels,
                            config.memory.banksPerChannel,
                            config.memory.rowBytes, config.memory.lineBytes,
@@ -201,220 +205,6 @@ idleness(bool)
 }
 
 // --------------------------------------------------------------------
-// Figure 5 — 2-core: mcf runs against every other SPEC benchmark.
-
-namespace
-{
-
-/**
- * Per-run observability artifacts for a custom (non-spec-driven)
- * figure: the configured paths get a "<figure>.<tag>" suffix before
- * the extension because the pairing sweep produces one document per
- * (workload, scheduler) run.
- */
-void
-writeOutcomeArtifacts(const TelemetryConfig &telemetry,
-                      const std::string &figure, const RunOutcome &o,
-                      const std::string &tag)
-{
-    const auto tagged = [&](const std::string &path) {
-        const std::size_t dot = path.rfind('.');
-        const std::string suffix = "." + tag;
-        if (dot == std::string::npos)
-            return path + suffix;
-        return path.substr(0, dot) + suffix + path.substr(dot);
-    };
-    if (o.hasTelemetry()) {
-        const std::string base_path = telemetry.output.empty()
-                                          ? figure + "_telemetry.json"
-                                          : telemetry.output;
-        const std::string path = tagged(base_path);
-        writeJsonFile(o.telemetry, path);
-        std::cout << "observability artifact written to " << path
-                  << "\n";
-    }
-    if (o.hasTrace() && !telemetry.trace.empty()) {
-        const std::string path = tagged(telemetry.trace);
-        writeJsonFile(o.trace, path);
-        std::cout << "observability artifact written to " << path
-                  << "\n";
-    }
-}
-
-} // namespace
-
-int
-twoCore(bool)
-{
-    SimConfig base = SimConfig::baseline(2);
-    base.instructionBudget = ExperimentRunner::budgetFromEnv(50000);
-    ExperimentRunner runner(base);
-
-    SchedulerConfig fr_fcfs;
-    SchedulerConfig stfm_cfg;
-    stfm_cfg.kind = PolicyKind::Stfm;
-
-    std::cout << "Figure 5: mcf paired with every other benchmark "
-                 "(2-core)\n\n";
-
-    TextTable table({"other benchmark", "mcf(FR-FCFS)", "other(FR-FCFS)",
-                     "unfair(FR)", "mcf(STFM)", "other(STFM)",
-                     "unfair(STFM)"});
-    GeoMean unfair_fr, unfair_stfm;
-    SweepSummary sum_fr, sum_stfm;
-    double max_unfair_stfm = 0.0;
-
-    for (const auto &profile : benchmarkCatalog()) {
-        if (profile.name == "mcf")
-            continue;
-        const Workload workload = {"mcf", profile.name};
-        const RunOutcome fr = runner.run(workload, fr_fcfs);
-        const RunOutcome st = runner.run(workload, stfm_cfg);
-        const TelemetryConfig &telemetry = runner.base().telemetry;
-        if (telemetry.collecting()) {
-            writeOutcomeArtifacts(telemetry, "fig05", fr,
-                                  "mcf-" + profile.name + ".FR-FCFS");
-            writeOutcomeArtifacts(telemetry, "fig05", st,
-                                  "mcf-" + profile.name + ".STFM");
-        }
-        table.addRow({profile.name, fmt(fr.metrics.slowdowns[0]),
-                      fmt(fr.metrics.slowdowns[1]),
-                      fmt(fr.metrics.unfairness),
-                      fmt(st.metrics.slowdowns[0]),
-                      fmt(st.metrics.slowdowns[1]),
-                      fmt(st.metrics.unfairness)});
-        unfair_fr.add(fr.metrics.unfairness);
-        unfair_stfm.add(st.metrics.unfairness);
-        sum_fr.add(fr.metrics);
-        sum_stfm.add(st.metrics);
-        max_unfair_stfm =
-            std::max(max_unfair_stfm, st.metrics.unfairness);
-    }
-    table.print(std::cout);
-
-    std::cout << "\nGMEAN unfairness:      FR-FCFS "
-              << fmt(unfair_fr.value()) << "  STFM "
-              << fmt(unfair_stfm.value()) << "\n";
-    std::cout << "max STFM unfairness:   " << fmt(max_unfair_stfm)
-              << "\n";
-    std::cout << "GMEAN weighted speedup: FR-FCFS "
-              << fmt(sum_fr.weightedSpeedup.value()) << "  STFM "
-              << fmt(sum_stfm.weightedSpeedup.value()) << "\n";
-    std::cout << "GMEAN hmean speedup:    FR-FCFS "
-              << fmt(sum_fr.hmeanSpeedup.value(), 3) << "  STFM "
-              << fmt(sum_stfm.hmeanSpeedup.value(), 3) << "\n";
-    std::cout << "GMEAN sum-of-IPCs:      FR-FCFS "
-              << fmt(sum_fr.sumOfIpcs.value()) << "  STFM "
-              << fmt(sum_stfm.sumOfIpcs.value()) << "\n";
-    return 0;
-}
-
-// --------------------------------------------------------------------
-// Figure 14 — system-software support: thread weights.
-
-namespace
-{
-
-void
-runWeights(ExperimentRunner &runner, const Workload &workload,
-           const std::vector<double> &weights)
-{
-    std::cout << "weights:";
-    for (const double w : weights)
-        std::cout << ' ' << static_cast<int>(w);
-    std::cout << '\n';
-
-    SchedulerConfig fr_fcfs;
-    SchedulerConfig nfq;
-    nfq.kind = PolicyKind::Nfq;
-    nfq.shares = weights; // NFQ: bandwidth share proportional to weight.
-    SchedulerConfig stfm_cfg;
-    stfm_cfg.kind = PolicyKind::Stfm;
-    stfm_cfg.weights = weights;
-
-    std::vector<std::string> headers{"scheduler"};
-    for (std::size_t i = 0; i < workload.size(); ++i) {
-        headers.push_back(workload[i] + "(w" +
-                          std::to_string(static_cast<int>(weights[i])) +
-                          ")");
-    }
-    headers.push_back("equal-pri unfairness");
-    TextTable table(std::move(headers));
-
-    for (const auto &sched : {fr_fcfs, nfq, stfm_cfg}) {
-        const RunOutcome o = runner.run(workload, sched);
-        // Unfairness among the weight-1 threads only.
-        double max_s = 0.0, min_s = 1e30;
-        for (std::size_t i = 0; i < weights.size(); ++i) {
-            if (weights[i] == 1.0) {
-                max_s = std::max(max_s, o.metrics.slowdowns[i]);
-                min_s = std::min(min_s, o.metrics.slowdowns[i]);
-            }
-        }
-        std::vector<std::string> row{o.policyName};
-        for (const double s : o.metrics.slowdowns)
-            row.push_back(fmt(s));
-        row.push_back(fmt(max_s / min_s));
-        table.addRow(std::move(row));
-    }
-    table.print(std::cout);
-    std::cout << '\n';
-}
-
-} // namespace
-
-int
-threadWeights(bool)
-{
-    SimConfig base = SimConfig::baseline(4);
-    base.instructionBudget = ExperimentRunner::budgetFromEnv(60000);
-    ExperimentRunner runner(base);
-    const Workload workload = workloads::weighted();
-
-    std::cout << "Figure 14: thread weights (" << workloadLabel(workload)
-              << ")\n\n";
-    runWeights(runner, workload, {1, 16, 1, 1});
-    runWeights(runner, workload, {1, 4, 8, 1});
-    return 0;
-}
-
-// --------------------------------------------------------------------
-// Figure 15 — sensitivity to the alpha threshold.
-
-int
-alphaSweep(bool)
-{
-    SimConfig base = SimConfig::baseline(4);
-    base.instructionBudget = ExperimentRunner::budgetFromEnv(60000);
-    ExperimentRunner runner(base);
-    const Workload workload = workloads::caseIntensive();
-
-    std::cout << "Figure 15: effect of alpha ("
-              << workloadLabel(workload) << ")\n\n";
-
-    TextTable table({"config", "unfairness", "weighted-speedup",
-                     "sum-of-IPCs", "hmean-speedup"});
-    for (const double alpha : {1.0, 1.05, 1.1, 1.2, 2.0, 5.0, 20.0}) {
-        SchedulerConfig sched;
-        sched.kind = PolicyKind::Stfm;
-        sched.alpha = alpha;
-        const RunOutcome o = runner.run(workload, sched);
-        table.addRow({"Alpha=" + fmt(alpha, 2),
-                      fmt(o.metrics.unfairness),
-                      fmt(o.metrics.weightedSpeedup),
-                      fmt(o.metrics.sumOfIpcs),
-                      fmt(o.metrics.hmeanSpeedup, 3)});
-    }
-    const RunOutcome fr = runner.run(workload, SchedulerConfig{});
-    table.addRow({"FR-FCFS", fmt(fr.metrics.unfairness),
-                  fmt(fr.metrics.weightedSpeedup),
-                  fmt(fr.metrics.sumOfIpcs),
-                  fmt(fr.metrics.hmeanSpeedup, 3)});
-    table.print(std::cout);
-    return 0;
-}
-
-// --------------------------------------------------------------------
 // Table 3 (and Table 4) — benchmark characteristics measured alone.
 
 namespace
@@ -448,7 +238,7 @@ int
 table3Characteristics(bool)
 {
     SimConfig base = SimConfig::baseline(4);
-    base.instructionBudget = ExperimentRunner::budgetFromEnv(60000);
+    base.instructionBudget = 60000;
     ExperimentRunner runner(base);
 
     characteristicsReport(runner, benchmarkCatalog(),
@@ -474,13 +264,12 @@ struct SensitivityCell
 
 SensitivityCell
 measureSensitivity(unsigned banks, std::uint64_t row_bytes,
-                   const std::vector<Workload> &workload_list,
-                   std::uint64_t budget)
+                   const std::vector<Workload> &workload_list)
 {
     SimConfig base = SimConfig::baseline(8);
     base.memory.banksPerChannel = banks;
     base.memory.rowBytes = row_bytes;
-    base.instructionBudget = budget;
+    base.instructionBudget = 40000;
     ExperimentRunner runner(base);
 
     SchedulerConfig fr_fcfs;
@@ -516,8 +305,6 @@ table5Sensitivity(bool full)
 {
     const auto workload_list =
         sampleWorkloads(8, full ? 32 : 8, /*seed=*/0x7ab1e5);
-    const std::uint64_t budget =
-        ExperimentRunner::budgetFromEnv(40000);
 
     std::cout << "Table 5: sensitivity to DRAM banks and row-buffer "
                  "size (8-core sweep, "
@@ -525,85 +312,14 @@ table5Sensitivity(bool full)
 
     std::cout << "-- DRAM banks (16 KB effective rows) --\n";
     for (const unsigned banks : {4u, 8u, 16u}) {
-        sensitivityReport(
-            "banks", std::to_string(banks),
-            measureSensitivity(banks, 16 * 1024, workload_list, budget));
+        sensitivityReport("banks", std::to_string(banks),
+                          measureSensitivity(banks, 16 * 1024, workload_list));
     }
     std::cout << "\n-- Row-buffer size (8 banks) --\n";
     for (const std::uint64_t row : {8u * 1024, 16u * 1024, 32u * 1024}) {
-        sensitivityReport(
-            "row", std::to_string(row / 1024) + "KB",
-            measureSensitivity(8, row, workload_list, budget));
+        sensitivityReport("row", std::to_string(row / 1024) + "KB",
+                          measureSensitivity(8, row, workload_list));
     }
-    return 0;
-}
-
-// --------------------------------------------------------------------
-// STFM design-choice ablations.
-
-namespace
-{
-
-void
-ablationRow(ExperimentRunner &runner, const Workload &workload,
-            TextTable &table, const std::string &label,
-            const SchedulerConfig &sched)
-{
-    const RunOutcome o = runner.run(workload, sched);
-    table.addRow({label, fmt(o.metrics.unfairness),
-                  fmt(o.metrics.weightedSpeedup),
-                  fmt(o.metrics.hmeanSpeedup, 3)});
-}
-
-} // namespace
-
-int
-ablationStfm(bool)
-{
-    SimConfig base = SimConfig::baseline(4);
-    base.instructionBudget = ExperimentRunner::budgetFromEnv(60000);
-    ExperimentRunner runner(base);
-    const Workload workload = workloads::caseIntensive();
-
-    std::cout << "STFM ablations (" << workloadLabel(workload) << ")\n\n";
-    TextTable table({"variant", "unfairness", "weighted-speedup",
-                     "hmean-speedup"});
-
-    SchedulerConfig stfm_cfg;
-    stfm_cfg.kind = PolicyKind::Stfm;
-    ablationRow(runner, workload, table,
-                "baseline (gamma=0.5, 2^24, quantized)", stfm_cfg);
-
-    for (const double gamma : {0.25, 1.0, 2.0}) {
-        SchedulerConfig s = stfm_cfg;
-        s.gamma = gamma;
-        ablationRow(runner, workload, table, "gamma=" + fmt(gamma, 2), s);
-    }
-    for (const unsigned shift : {14u, 18u, 28u}) {
-        SchedulerConfig s = stfm_cfg;
-        s.intervalLength = 1ULL << shift;
-        ablationRow(runner, workload, table,
-                    "interval=2^" + std::to_string(shift), s);
-    }
-    {
-        SchedulerConfig s = stfm_cfg;
-        s.quantizeSlowdowns = false;
-        ablationRow(runner, workload, table, "exact slowdown registers",
-                    s);
-    }
-    {
-        SchedulerConfig s = stfm_cfg;
-        s.busInterference = true;
-        ablationRow(runner, workload, table, "with per-event bus term",
-                    s);
-    }
-    {
-        SchedulerConfig s = stfm_cfg;
-        s.requestLevelEstimator = true;
-        ablationRow(runner, workload, table, "request-level estimator",
-                    s);
-    }
-    table.print(std::cout);
     return 0;
 }
 
@@ -630,7 +346,7 @@ int
 ablationController(bool)
 {
     SimConfig base = SimConfig::baseline(4);
-    base.instructionBudget = ExperimentRunner::budgetFromEnv(50000);
+    base.instructionBudget = 50000;
     const Workload workload = workloads::caseNonIntensive();
 
     std::cout << "Controller design ablations under FR-FCFS ("

@@ -16,12 +16,6 @@ ExperimentRunner::ExperimentRunner(SimConfig base) : base_(std::move(base))
     EnvOverrides::capture().apply(base_);
 }
 
-std::uint64_t
-ExperimentRunner::budgetFromEnv(std::uint64_t fallback)
-{
-    return EnvOverrides::capture().instructionBudget.value_or(fallback);
-}
-
 void
 ExperimentRunner::setMaxAttempts(unsigned attempts)
 {
@@ -211,17 +205,6 @@ ExperimentRunner::run(const Workload &workload,
     // All attempts failed; name the policy for report rows anyway.
     outcome.policyName = toString(scheduler.kind);
     return outcome;
-}
-
-std::vector<RunOutcome>
-ExperimentRunner::runAll(const Workload &workload,
-                         const std::vector<SchedulerConfig> &schedulers)
-{
-    std::vector<RunJob> jobs;
-    jobs.reserve(schedulers.size());
-    for (const auto &scheduler : schedulers)
-        jobs.push_back({workload, scheduler, 0, ""});
-    return runMany(jobs);
 }
 
 unsigned

@@ -137,11 +137,6 @@ class ExperimentRunner
     /** Snapshot of the alone cache (key -> baseline), for sharing. */
     std::map<std::string, ThreadResult> aloneSnapshot() const;
 
-    /** Run every scheduler in @p schedulers on @p workload. */
-    std::vector<RunOutcome> runAll(
-        const Workload &workload,
-        const std::vector<SchedulerConfig> &schedulers);
-
     /**
      * Execute @p jobs across a pool of worker threads and return the
      * outcomes in job order — results are written by job index, so the
@@ -189,9 +184,6 @@ class ExperimentRunner
 
     /** The five evaluation policies in the paper's presentation order. */
     static std::vector<SchedulerConfig> paperSchedulers();
-
-    /** Instruction budget override from STFM_INSTRUCTIONS, if set. */
-    static std::uint64_t budgetFromEnv(std::uint64_t fallback);
 
   private:
     SimConfig configFor(const Workload &workload,

@@ -778,16 +778,26 @@ TEST(FleetIntegration, FigureCommandsShareTheRunFlagParser)
     EXPECT_EQ(runCli(cli, "fig06 --jsno " + json), 1);
     EXPECT_FALSE(fileExists(json));
 
+    // A spec-driven figure with its own report renderer still writes
+    // the results document (fig14 was once a custom figure).
+    ASSERT_EQ(runCli(cli, "fig14 --instructions 2000 --json " + json),
+              0);
+    const Json weights = Json::parse(readFile(json));
+    EXPECT_EQ(weights.at("schema", "results").asString("schema"),
+              "stfm-results-v1");
+    EXPECT_EQ(weights.at("runs", "results").asArray("runs").size(), 5u);
+    std::remove(json.c_str());
+
     // A custom figure writes no results document.
-    EXPECT_EQ(runCli(cli, "fig14 --json " + json), 1);
+    EXPECT_EQ(runCli(cli, "table5 --json " + json), 1);
     EXPECT_FALSE(fileExists(json));
 
-    // Nor, fig05 aside, telemetry or traces: asking for them is an
-    // error rather than a run that silently writes nothing.
+    // Nor telemetry or traces: asking for them is an error rather
+    // than a run that silently writes nothing.
     const std::string trace =
         std::string(::testing::TempDir()) + "fleet_it_figure_trace.json";
     std::remove(trace.c_str());
-    EXPECT_EQ(runCli(cli, "fig14 --trace " + trace), 1);
+    EXPECT_EQ(runCli(cli, "table5 --trace " + trace), 1);
     EXPECT_FALSE(fileExists(trace));
     EXPECT_EQ(runCli(cli, "fig03 --telemetry"), 1);
     TempDir traces("fleet_it_fig05_traces");
@@ -806,6 +816,31 @@ TEST(FleetIntegration, FigureCommandsShareTheRunFlagParser)
     EXPECT_EQ(runCli(cli, "validate " + smoke), 0);
     EXPECT_EQ(runCli(cli, "run " + smoke + " --full --json " + json), 1);
     EXPECT_FALSE(fileExists(json));
+}
+
+TEST(FleetIntegration, Fig03HonorsTheRunFlags)
+{
+    const char *cli = std::getenv("STFM_CLI");
+    if (!cli || !*cli)
+        GTEST_SKIP() << "STFM_CLI is not set (run via ctest)";
+    // fig03 builds its systems by hand; it once skipped the
+    // environment overrides, so every budget printed one table and an
+    // unknown device ran anyway.
+    const std::string out =
+        std::string(::testing::TempDir()) + "fleet_it_fig03_";
+    for (const char *budget : {"2000", "3000"}) {
+        ASSERT_EQ(std::system((std::string(cli) +
+                               " fig03 --instructions " + budget +
+                               " > " + out + budget + ".txt")
+                                  .c_str()),
+                  0);
+    }
+    EXPECT_NE(readFile(out + "2000.txt"), readFile(out + "3000.txt"));
+    std::remove((out + "2000.txt").c_str());
+    std::remove((out + "3000.txt").c_str());
+    EXPECT_EQ(runCli(cli, "fig03 --instructions 2000 --device "
+                          "no-such-device"),
+              1);
 }
 
 } // namespace

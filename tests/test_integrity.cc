@@ -19,6 +19,7 @@
 #include "check/auditor.hh"
 #include "check/integrity.hh"
 #include "harness/experiment.hh"
+#include "harness/figures.hh"
 #include "sim/system.hh"
 #include "trace/generator.hh"
 
@@ -267,6 +268,110 @@ TEST(HarnessDegradation, SweepCompletesAroundAFailingWorkload)
     EXPECT_NE(report.find("Failed runs"), std::string::npos);
     EXPECT_NE(report.find("povray+sjeng"), std::string::npos);
     EXPECT_NE(report.find("namd+tonto"), std::string::npos);
+}
+
+/** Occurrences of @p needle in @p text. */
+std::size_t
+countOf(const std::string &text, const std::string &needle)
+{
+    std::size_t count = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++count;
+    return count;
+}
+
+RunOutcome
+goodOutcome(const char *policy, std::vector<double> slowdowns,
+            double unfairness)
+{
+    RunOutcome o;
+    o.policyName = policy;
+    o.metrics.slowdowns = std::move(slowdowns);
+    o.metrics.unfairness = unfairness;
+    o.metrics.weightedSpeedup = 1.5;
+    o.metrics.hmeanSpeedup = 0.5;
+    o.metrics.sumOfIpcs = 1.0;
+    return o;
+}
+
+RunOutcome
+failedOutcome(const char *policy)
+{
+    RunOutcome o;
+    o.policyName = policy;
+    o.failed = true;
+    o.error = "injected failure";
+    return o;
+}
+
+/** @p figure's result shell over its own spec's first @p rows rows. */
+ExperimentResult
+figureResult(const char *figure, std::size_t rows,
+             std::vector<RunOutcome> outcomes)
+{
+    ExperimentResult result;
+    result.spec = findFigure(figure)->spec(/*full=*/false);
+    result.workloads.assign(result.spec.workloads.begin(),
+                            result.spec.workloads.begin() + rows);
+    result.schedulers = result.spec.schedulers;
+    result.outcomes = std::move(outcomes);
+    aggregateOutcomes(result);
+    return result;
+}
+
+std::string
+render(const char *figure, const ExperimentResult &result)
+{
+    std::ostringstream os;
+    findFigure(figure)->report(result, os);
+    return os.str();
+}
+
+TEST(HarnessDegradation, FigureRenderersPrintFailCellsForFailedRuns)
+{
+    // A failed RunOutcome has no slowdowns: the figure renderers must
+    // print FAIL cells for it rather than index them, and leave it
+    // out of the GMEANs.
+    ExperimentResult fig05 = figureResult(
+        "fig05", 2,
+        {goodOutcome("FR-FCFS", {2.0, 1.0}, 2.0),
+         goodOutcome("STFM", {1.5, 1.2}, 1.25),
+         goodOutcome("FR-FCFS", {4.0, 1.0}, 4.0),
+         failedOutcome("STFM")});
+    std::string report = render("fig05", fig05);
+    EXPECT_EQ(countOf(report, "FAIL"), 3u) << report;
+    EXPECT_NE(report.find("GMEAN unfairness:      FR-FCFS 2.83  STFM "
+                          "1.25\n"),
+              std::string::npos)
+        << report;
+    EXPECT_NE(report.find("max STFM unfairness:   1.25\n"),
+              std::string::npos)
+        << report;
+
+    // With every STFM run failed there is nothing to average.
+    fig05.outcomes[1] = failedOutcome("STFM");
+    aggregateOutcomes(fig05);
+    report = render("fig05", fig05);
+    EXPECT_EQ(countOf(report, "FAIL"), 6u) << report;
+    EXPECT_NE(report.find("FR-FCFS 2.83  STFM n/a\n"), std::string::npos)
+        << report;
+    EXPECT_NE(report.find("max STFM unfairness:   n/a\n"),
+              std::string::npos)
+        << report;
+
+    // fig14: entry 2 (STFM under the first weight assignment) failed.
+    const std::vector<double> slowdowns{1.0, 2.0, 3.0, 4.0};
+    const ExperimentResult fig14 = figureResult(
+        "fig14", 1,
+        {goodOutcome("FR-FCFS", slowdowns, 4.0),
+         goodOutcome("NFQ", slowdowns, 4.0), failedOutcome("STFM"),
+         goodOutcome("NFQ", slowdowns, 4.0),
+         goodOutcome("STFM", slowdowns, 4.0)});
+    report = render("fig14", fig14);
+    // One row of FAIL cells: four threads plus the unfairness column.
+    EXPECT_EQ(countOf(report, "FAIL"), 5u) << report;
+    EXPECT_EQ(countOf(report, "weights:"), 2u) << report;
 }
 
 TEST(HarnessDegradation, StfmCheckEnvironmentEnablesIntegrity)

@@ -362,10 +362,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// Figure specs x all five schedulers: the sleep/wake path must be
-// bit-exact on the exact configurations the paper figures run
+// Figure specs x their own scheduler entries: the sleep/wake path must
+// be bit-exact on the exact configurations the paper figures run
 // (sampled 4-core sweeps, case studies, the 8-core two-channel
-// geometry), not just on synthetic random configs.
+// geometry, the 2-core pairings, and the alpha, gamma, IntervalLength,
+// register, bus-term, estimator, weight and share knobs of fig14,
+// fig15 and ablation_stfm), not just on synthetic random configs.
 // ---------------------------------------------------------------------
 
 class FigureSpecEquivalence
@@ -395,15 +397,22 @@ TEST_P(FigureSpecEquivalence, AllSchedulersBitExact)
     SimConfig fast = base;
     fast.fastForward = true;
 
+    // The figure's own entries; an empty list means the paper five.
+    std::vector<SchedulerEntry> entries = spec.schedulers;
+    if (entries.empty()) {
+        for (const SchedulerConfig &s :
+             ExperimentRunner::paperSchedulers())
+            entries.push_back({toString(s.kind), s, ""});
+    }
+
     ExperimentRunner refRunner(reference);
     ExperimentRunner fastRunner(fast);
     for (const Workload &w : workloads) {
-        for (const SchedulerConfig &s :
-             ExperimentRunner::paperSchedulers()) {
-            const RunOutcome ref = refRunner.run(w, s);
-            const RunOutcome opt = fastRunner.run(w, s);
+        for (const SchedulerEntry &entry : entries) {
+            const RunOutcome ref = refRunner.run(w, entry.config);
+            const RunOutcome opt = fastRunner.run(w, entry.config);
             SCOPED_TRACE(std::string(GetParam()) + " " +
-                         workloadLabel(w) + " " + toString(s.kind));
+                         workloadLabel(w) + " " + entry.label);
             ASSERT_FALSE(ref.failed) << ref.error;
             ASSERT_FALSE(opt.failed) << opt.error;
             expectIdenticalResults(ref.shared, opt.shared);
@@ -412,8 +421,9 @@ TEST_P(FigureSpecEquivalence, AllSchedulersBitExact)
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperFigures, FigureSpecEquivalence,
-                         ::testing::Values("fig06", "fig09", "fig11",
-                                           "fig12"),
+                         ::testing::Values("fig05", "fig06", "fig09",
+                                           "fig11", "fig12", "fig14",
+                                           "fig15", "ablation_stfm"),
                          [](const ::testing::TestParamInfo<const char *>
                                 &info) { return info.param; });
 

@@ -55,22 +55,14 @@ TEST(Runner, PaperSchedulersCoverAllFive)
     EXPECT_DOUBLE_EQ(schedulers[4].alpha, 1.10);
 }
 
-TEST(Runner, RunAllReturnsOnePerScheduler)
-{
-    ExperimentRunner runner(base());
-    const auto outcomes = runner.runAll(
-        {"hmmer", "gcc"}, ExperimentRunner::paperSchedulers());
-    ASSERT_EQ(outcomes.size(), 5u);
-    for (const RunOutcome &o : outcomes)
-        EXPECT_FALSE(o.shared.hitCycleLimit);
-}
-
 TEST(Runner, BudgetEnvOverride)
 {
+    SimConfig config = base();
+    config.instructionBudget = 777;
     ASSERT_EQ(setenv("STFM_INSTRUCTIONS", "12345", 1), 0);
-    EXPECT_EQ(ExperimentRunner::budgetFromEnv(777), 12345u);
+    EXPECT_EQ(ExperimentRunner(config).base().instructionBudget, 12345u);
     ASSERT_EQ(unsetenv("STFM_INSTRUCTIONS"), 0);
-    EXPECT_EQ(ExperimentRunner::budgetFromEnv(777), 777u);
+    EXPECT_EQ(ExperimentRunner(config).base().instructionBudget, 777u);
 }
 
 TEST(Runner, DifferentMemoryConfigsDoNotShareAloneCache)
